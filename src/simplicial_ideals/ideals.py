@@ -8,24 +8,42 @@ new canonical ideals.
 """
 
 import json
+from operator import le
 
 from .errors import BudgetExceededError, DimensionError, ParameterError
 from .monomials import Monomial
 
 
+def _has_divisor(divisors, exps):
+    """True iff some exponent tuple in ``divisors`` is <= ``exps`` entrywise."""
+    return any(all(map(le, d, exps)) for d in divisors)
+
+
 def _reduce_to_antichain(gens):
     """Drop every monomial divisible by another; return descending graded-lex.
 
-    A strict divisor has strictly smaller total degree (distinct monomials of
-    equal degree never divide one another), so a single ascending sweep that
-    checks candidates only against already-kept monomials is enough.
+    Candidates are deduplicated on their exponent tuples and bucketed by total
+    degree.  A strict divisor has strictly smaller total degree (distinct
+    monomials of equal degree never divide one another), so the buckets are
+    swept in ascending degree and each candidate is tested only against the
+    generators kept from lower-degree buckets.  An equigenerated input, such as
+    a power of an equigenerated ideal, therefore costs no divisibility test.
+    Callers check that every candidate lies in the ideal's ring; the sweep
+    compares raw tuples.
     """
+    by_exps = {g.exps: g for g in gens}
+    buckets = {}
+    for exps in by_exps:
+        buckets.setdefault(sum(exps), []).append(exps)
+    lower = []
     kept = []
-    for g in sorted(set(gens)):
-        if not any(h.divides(g) for h in kept):
-            kept.append(g)
-    kept.reverse()
-    return tuple(kept)
+    for degree in sorted(buckets):
+        bucket = sorted(buckets[degree])
+        if lower:
+            bucket = [e for e in bucket if not _has_divisor(lower, e)]
+        lower.extend(bucket)
+        kept.append(bucket)
+    return tuple(by_exps[e] for bucket in reversed(kept) for e in reversed(bucket))
 
 
 class MonomialIdeal:
@@ -36,15 +54,11 @@ class MonomialIdeal:
             raise ParameterError(f"ambient dimension n={n} must be >= 1")
         gens = tuple(gens)
         for g in gens:
-            if g.n != n:
+            if len(g.exps) != n + 1:
                 raise DimensionError(
                     f"generator {g!r} has ambient n={g.n}, ideal has n={n}")
         self.n = n
         self.gens = _reduce_to_antichain(gens)
-
-    @classmethod
-    def from_generators(cls, n, gens):
-        return cls(n, gens)
 
     @classmethod
     def zero(cls, n):
@@ -80,7 +94,7 @@ class MonomialIdeal:
         if mono.n != self.n:
             raise DimensionError(
                 f"monomial with ambient n={mono.n}, ideal has n={self.n}")
-        return any(g.divides(mono) for g in self.gens)
+        return _has_divisor((g.exps for g in self.gens), mono.exps)
 
     __contains__ = contains
 
@@ -93,7 +107,7 @@ class MonomialIdeal:
         return MonomialIdeal(self.n, (g * h for g in self.gens for h in other.gens))
 
     def __pow__(self, r):
-        if not isinstance(r, int) or r < 1:
+        if isinstance(r, bool) or not isinstance(r, int) or r < 1:
             raise ParameterError(f"ideal power r={r!r} must be an integer >= 1")
         # square-and-multiply; canonicalization inside __mul__ keeps the
         # intermediate generator sets reduced
@@ -117,7 +131,8 @@ class MonomialIdeal:
     def __le__(self, other):
         """Containment self <= other: every generator of self lies in other."""
         self._check_same_ring(other)
-        return all(other.contains(g) for g in self.gens)
+        theirs = [h.exps for h in other.gens]
+        return all(_has_divisor(theirs, g.exps) for g in self.gens)
 
     def __ge__(self, other):
         return other.__le__(self)

@@ -10,6 +10,7 @@ compare by total degree first, then by the exponent tuple.
 """
 
 import re
+from operator import add
 
 from .errors import DimensionError, MonomialParseError
 
@@ -27,6 +28,21 @@ class Monomial:
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in {exps}")
         self.exps = exps
+
+    @classmethod
+    def _trusted(cls, exps):
+        """Wrap an exponent tuple without validating it.
+
+        ``exps`` must already be a tuple of at least 2 non-negative ints.
+        Only package code whose tuple holds that by construction may call
+        this: ``__mul__`` and ``lcm`` (sums and maxima of two validated
+        exponent vectors, after the same-ring check) and ``symbolic_power``
+        (permutations of a vector it enumerated with entries in [0, m]).
+        Input from users goes through ``__init__``, which validates it.
+        """
+        self = object.__new__(cls)
+        self.exps = exps
+        return self
 
     @classmethod
     def unit(cls, n):
@@ -82,11 +98,11 @@ class Monomial:
 
     def lcm(self, other):
         self._check_same_ring(other)
-        return Monomial(max(a, b) for a, b in zip(self.exps, other.exps))
+        return Monomial._trusted(tuple(map(max, self.exps, other.exps)))
 
     def __mul__(self, other):
         self._check_same_ring(other)
-        return Monomial(a + b for a, b in zip(self.exps, other.exps))
+        return Monomial._trusted(tuple(map(add, self.exps, other.exps)))
 
     def __eq__(self, other):
         if not isinstance(other, Monomial):

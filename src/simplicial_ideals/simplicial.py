@@ -214,7 +214,7 @@ def symbolic_power(spec, m, max_candidates=None):
                 raise BudgetExceededError(
                     f"symbolic power enumeration for {spec} m={m} passed "
                     f"{budget} candidates")
-            gens.append(Monomial(perm))
+            gens.append(Monomial._trusted(perm))
     return MonomialIdeal._from_minimal(n, gens)
 
 

@@ -12,9 +12,8 @@ laptop) and a wider ``deep`` preset.
 """
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .containment import (
     containment_criterion,

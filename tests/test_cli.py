@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import simplicial_ideals
 from simplicial_ideals import MonomialIdeal, SimplicialSpec, symbolic_power
 from simplicial_ideals.cli import main
 from simplicial_ideals.verification import ClaimResult
@@ -208,17 +210,22 @@ def test_oracle_cap_can_be_raised_via_env(capsys, monkeypatch):
     assert "agree: true" in out
 
 
+def run_module(*argv):
+    """Run ``python -m simplicial_ideals`` on the copy these tests import."""
+    src = os.path.dirname(os.path.dirname(simplicial_ideals.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, "-m", "simplicial_ideals", *argv],
+        capture_output=True, text=True, env=env)
+
+
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "simplicial_ideals",
-         "gens", "--n", "2", "--c", "2"],
-        capture_output=True, text=True)
+    proc = run_module("gens", "--n", "2", "--c", "2")
     assert proc.returncode == 0
     assert proc.stdout == "x0*x1\nx0*x2\nx1*x2\n"
 
 
 def test_missing_subcommand_exits_two():
-    proc = subprocess.run(
-        [sys.executable, "-m", "simplicial_ideals"],
-        capture_output=True, text=True)
+    proc = run_module()
     assert proc.returncode == 2

@@ -1,9 +1,10 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _brute import _minimalize
 from simplicial_ideals import (
     BudgetExceededError,
     DimensionError,
@@ -27,6 +28,19 @@ monos_p2 = st.lists(st.integers(0, 6), min_size=3, max_size=3).map(
     lambda e: Monomial(e))
 
 
+@st.composite
+def mixed_degree_case(draw):
+    """A ring n in 1..4, generators with duplicates and the unit, a monomial."""
+    n = draw(st.integers(1, 4))
+    monos = st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1).map(
+        Monomial)
+    gens = draw(st.lists(st.one_of(monos, st.just(Monomial.unit(n))),
+                         max_size=12))
+    if gens:
+        gens += draw(st.lists(st.sampled_from(gens), max_size=4))
+    return n, gens, draw(monos)
+
+
 def test_canonicalization_drops_multiples():
     ideal = ideal_of(1, (2, 0), (1, 0), (3, 1))
     assert ideal.gens == (Monomial((1, 0)),)
@@ -40,6 +54,19 @@ def test_canonicalization_is_idempotent_and_sorted():
     # descending graded-lex throughout
     keys = [(g.degree, g.exps) for g in ideal.gens]
     assert keys == sorted(keys, reverse=True)
+
+
+@given(mixed_degree_case())
+@example((2, [], Monomial((1, 0, 0))))
+@example((3, [Monomial.unit(3)] * 2, Monomial((0, 1, 0, 2))))
+@settings(max_examples=200)
+def test_reduction_matches_brute_minimalize(case):
+    n, gens, mono = case
+    ideal = MonomialIdeal(n, gens)
+    assert list(ideal.gens) == _minimalize(gens)[::-1]
+    expected = any(g.divides(mono) for g in ideal.gens)
+    assert ideal.contains(mono) == expected
+    assert (mono in ideal) == expected
 
 
 def test_zero_and_unit():
@@ -62,6 +89,9 @@ def test_pow_basics():
     assert ideal ** 3 == ideal * ideal * ideal
     with pytest.raises(ParameterError):
         ideal ** 0
+    for flag in (True, False):
+        with pytest.raises(ParameterError):
+            ideal ** flag
 
 
 @given(ideals_p2, ideals_p2)
@@ -117,6 +147,10 @@ def test_comparison_requires_same_ring():
         ideal_of(1, (1, 0)).equals(ideal_of(2, (1, 0, 0)))
     with pytest.raises(DimensionError):
         ideal_of(1, (1, 0)) <= ideal_of(2, (1, 0, 0))
+    with pytest.raises(DimensionError):
+        ideal_of(1, (1, 0)) * ideal_of(2, (1, 0, 0))
+    with pytest.raises(DimensionError):
+        ideal_of(2, (1, 0, 0)) & ideal_of(1, (1, 0))
     # __eq__ stays pythonic
     assert ideal_of(1, (1, 0)) != ideal_of(2, (1, 0, 0))
     assert ideal_of(1, (1, 0)) != "not an ideal"
@@ -125,6 +159,15 @@ def test_comparison_requires_same_ring():
 def test_generator_dimension_checked():
     with pytest.raises(DimensionError):
         MonomialIdeal(2, [Monomial((1, 0))])
+
+
+@pytest.mark.parametrize("exps", [(1, 0), (1, 0, 0, 0)])
+def test_membership_requires_same_ring(exps):
+    ideal = ideal_of(2, (1, 0, 0))
+    with pytest.raises(DimensionError):
+        ideal.contains(Monomial(exps))
+    with pytest.raises(DimensionError):
+        Monomial(exps) in ideal
 
 
 def test_text_round_trip():

@@ -118,6 +118,11 @@ def test_dimension_mismatch_raises():
         Monomial((1, 0)) * Monomial((1, 0, 0))
     with pytest.raises(DimensionError):
         Monomial((1, 0)).lcm(Monomial((1, 0, 0)))
+    # the longer operand first too: zipping would silently truncate it
+    with pytest.raises(DimensionError):
+        Monomial((1, 0, 0)) * Monomial((1, 0))
+    with pytest.raises(DimensionError):
+        Monomial((1, 0, 0)).lcm(Monomial((1, 0)))
 
 
 @given(aligned_pairs)
