@@ -39,7 +39,6 @@ from .simplicial import (
     ordinary_power_min_gens,
     simplicial_ideal,
     symbolic_member,
-    symbolic_member_subsets,
     symbolic_power,
     symbolic_power_oracle,
 )

@@ -8,7 +8,7 @@ new canonical ideals.
 """
 
 import json
-from operator import le
+from operator import attrgetter, le
 
 from .errors import BudgetExceededError, DimensionError, ParameterError
 from .monomials import Monomial
@@ -71,10 +71,14 @@ class MonomialIdeal:
     @classmethod
     def _from_minimal(cls, n, gens):
         # trusted path: caller guarantees gens are distinct, of length n+1 and
-        # pairwise indivisible, so the antichain sweep can be skipped
+        # pairwise indivisible, so the antichain sweep can be skipped.  Two
+        # stable sorts on C-compared keys give descending graded-lex without
+        # a Python-level Monomial.__lt__ call per comparison.
+        ordered = sorted(gens, key=attrgetter("exps"), reverse=True)
+        ordered.sort(key=attrgetter("degree"), reverse=True)
         self = object.__new__(cls)
         self.n = n
-        self.gens = tuple(sorted(gens, reverse=True))
+        self.gens = tuple(ordered)
         return self
 
     @property

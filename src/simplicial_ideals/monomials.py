@@ -37,7 +37,8 @@ class Monomial:
         Only package code whose tuple holds that by construction may call
         this: ``__mul__`` and ``lcm`` (sums and maxima of two validated
         exponent vectors, after the same-ring check) and ``symbolic_power``
-        (permutations of a vector it enumerated with entries in [0, m]).
+        (permutations of an orbit representative it built from a partition
+        of m, so every entry lies in [0, m]).
         Input from users goes through ``__init__``, which validates it.
         """
         self = object.__new__(cls)

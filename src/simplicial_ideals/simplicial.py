@@ -17,7 +17,7 @@ truncated answer.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 
 from .errors import BudgetExceededError, DimensionError, ParameterError
 from .ideals import MonomialIdeal, intersect_all
@@ -37,6 +37,9 @@ class SimplicialSpec:
     c: int
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or isinstance(self.c, bool):
+            raise ParameterError(
+                f"n={self.n!r}, c={self.c!r}: a bool is not an integer parameter")
         if self.n < 1:
             raise ParameterError(f"n={self.n} must be >= 1")
         if not 1 <= self.c <= self.n:
@@ -104,8 +107,16 @@ def face_primes(spec):
     return [FacePrime(spec.n, sub) for sub in combinations(range(spec.n + 1), spec.c)]
 
 
+def _require_power(name, value):
+    """Reject an exponent below 1, and a bool posing as the int 0 or 1."""
+    if isinstance(value, bool):
+        raise ParameterError(f"{name}={value!r} must be an integer, not a bool")
+    if value < 1:
+        raise ParameterError(f"{name}={value} must be >= 1")
+
+
 def _check_vector(spec, a):
-    if a.n != spec.n:
+    if len(a.exps) != spec.n + 1:
         raise DimensionError(
             f"monomial has ambient n={a.n}, spec has n={spec.n}")
 
@@ -115,8 +126,7 @@ def symbolic_member(spec, m, a):
 
     Holds iff every c-subset of coordinates of a sums to >= m.  The minimum
     over c-subsets is attained at the c smallest entries, so sorting once
-    replaces the binomial(n+1, c) subset scan (symbolic_member_subsets keeps
-    the exhaustive version for cross-checking).
+    replaces the binomial(n+1, c) subset scan.
     """
     if m < 1:
         raise ParameterError(f"m={m} must be >= 1")
@@ -124,22 +134,16 @@ def symbolic_member(spec, m, a):
     return sum(sorted(a.exps)[:spec.c]) >= m
 
 
-def symbolic_member_subsets(spec, m, a):
-    """Exhaustive-subset variant of symbolic_member (debug oracle)."""
-    if m < 1:
-        raise ParameterError(f"m={m} must be >= 1")
-    _check_vector(spec, a)
-    return all(sum(a.exps[i] for i in sub) >= m
-               for sub in combinations(range(spec.n + 1), spec.c))
-
-
-def _sorted_vectors(length, maxval):
-    """All weakly-decreasing vectors of the given length with entries in [0, maxval]."""
-    if length == 0:
-        yield ()
+def _partitions(total, parts, cap):
+    """Weakly decreasing tuples of ``parts`` entries in [0, cap] summing to
+    ``total``, in descending lexicographic order."""
+    if parts == 1:
+        if total <= cap:
+            yield (total,)
         return
-    for first in range(maxval, -1, -1):
-        for rest in _sorted_vectors(length - 1, first):
+    # the first entry is the largest, so it is at least ceil(total / parts)
+    for first in range(min(cap, total), -(-total // parts) - 1, -1):
+        for rest in _partitions(total - first, parts - 1, first):
             yield (first,) + rest
 
 
@@ -161,59 +165,52 @@ def _distinct_permutations(values):
         seq[i + 1:] = reversed(seq[i + 1:])
 
 
-def _tail_sum_ok(vec, c, m):
-    # vec weakly decreasing, so its c smallest entries are the last c
-    return sum(vec[-c:]) >= m
+def _budget_error(spec, m, budget):
+    return BudgetExceededError(
+        f"symbolic power enumeration for {spec} m={m} passed "
+        f"{budget} candidates")
 
 
 def symbolic_power(spec, m, max_candidates=None):
     """Canonical minimal generating set of the m-th symbolic power of I(n,c).
 
-    Minimal generators have every exponent <= m: capping an exponent above m
-    at exactly m keeps every c-subset sum >= m (subsets through the capped
-    coordinate still contribute m alone), and the capped vector divides the
-    original, so nothing with a larger exponent can be minimal.
+    x^a is a member iff its c smallest exponents sum to >= m (see
+    symbolic_member).  That test is invariant under permuting coordinates,
+    so the minimal generators are the distinct permutations of the weakly
+    decreasing ones, the orbit representatives.  Split a weakly decreasing
+    exponent vector v into a head (its first n-c+1 entries) and a tail (its
+    last c entries, the c smallest).  Then v is a minimal generator iff
 
-    The membership condition is symmetric under coordinate permutation and
-    upward closed, so it suffices to scan weakly-decreasing vectors in
-    [0, m]^{n+1} and keep those where every single-coordinate decrement
-    breaks some c-subset sum; their distinct permutations are then exactly
-    the minimal generators (an antichain by construction).
+    * the tail sums to exactly m, and
+    * every head entry equals the first tail entry.
+
+    Proof.  If the tail sums to more than m, lowering its last positive
+    entry keeps v sorted and a member; if a head entry exceeds the first
+    tail entry, lowering the last such entry leaves the tail alone.
+    Conversely, when both hold, lowering any entry leaves c entries summing
+    to m - 1: the tail itself, or the tail with the lowered head entry in
+    place of its equal first entry.
+
+    So the representatives are (t1,)*(n-c+1) + t, one for each partition
+    t = (t1 >= ... >= tc >= 0) of m into at most c parts, and no generator
+    has an exponent above m.  Each representative and each permutation
+    emitted counts as one candidate against ``max_candidates``;
+    BudgetExceededError is raised past it instead of returning a truncated
+    ideal.
     """
-    if m < 1:
-        raise ParameterError(f"m={m} must be >= 1")
+    _require_power("m", m)
     budget = DEFAULT_MAX_CANDIDATES if max_candidates is None else max_candidates
     n, c = spec.n, spec.c
     seen = 0
     gens = []
-    for vec in _sorted_vectors(n + 1, m):
+    for tail in _partitions(m, c, m):
         seen += 1
         if seen > budget:
-            raise BudgetExceededError(
-                f"symbolic power enumeration for {spec} m={m} passed "
-                f"{budget} candidates")
-        if not _tail_sum_ok(vec, c, m):
-            continue
-        # minimality: decrementing the last occurrence of each distinct
-        # positive value keeps the vector sorted; decrements at equal values
-        # are permutations of each other, so one representative suffices
-        minimal = True
-        for idx in range(n, -1, -1):
-            v = vec[idx]
-            if v == 0 or (idx < n and vec[idx + 1] == v):
-                continue
-            lowered = vec[:idx] + (v - 1,) + vec[idx + 1:]
-            if _tail_sum_ok(lowered, c, m):
-                minimal = False
-                break
-        if not minimal:
-            continue
-        for perm in _distinct_permutations(vec):
+            raise _budget_error(spec, m, budget)
+        for perm in _distinct_permutations((tail[0],) * (n - c + 1) + tail):
             seen += 1
             if seen > budget:
-                raise BudgetExceededError(
-                    f"symbolic power enumeration for {spec} m={m} passed "
-                    f"{budget} candidates")
+                raise _budget_error(spec, m, budget)
             gens.append(Monomial._trusted(perm))
     return MonomialIdeal._from_minimal(n, gens)
 
@@ -224,8 +221,7 @@ def symbolic_power_oracle(spec, m, max_gens=None):
 
     Independent of symbolic_power; the two must agree.
     """
-    if m < 1:
-        raise ParameterError(f"m={m} must be >= 1")
+    _require_power("m", m)
     budget = DEFAULT_MAX_INTERSECTION_GENS if max_gens is None else max_gens
     powers = [p.power_ideal(m) for p in face_primes(spec)]
     return intersect_all(powers, max_gens=budget)
@@ -250,8 +246,7 @@ def ordinary_power_min_gens(spec, r):
     every entry <= r; equal total degree makes the set an antichain, so no
     reduction step is needed.  Must coincide with simplicial_ideal(spec)**r.
     """
-    if r < 1:
-        raise ParameterError(f"r={r} must be >= 1")
+    _require_power("r", r)
     n, c = spec.n, spec.c
     target = (n - c + 2) * r
     gens = [Monomial(vec) for vec in _bounded_compositions(target, n + 1, r)]
@@ -268,4 +263,4 @@ def ordinary_member(spec, r, a):
     if r < 1:
         raise ParameterError(f"r={r} must be >= 1")
     _check_vector(spec, a)
-    return sum(min(e, r) for e in a.exps) >= (spec.n - spec.c + 2) * r
+    return sum(map(min, a.exps, repeat(r))) >= (spec.n - spec.c + 2) * r

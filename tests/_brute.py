@@ -37,6 +37,35 @@ def brute_symbolic_gens(n, c, m):
     return _minimalize(members)
 
 
+def _sorted_vectors(length, maxval):
+    """All weakly decreasing vectors of the given length, entries in [0, maxval]."""
+    if length == 0:
+        yield ()
+        return
+    for first in range(maxval, -1, -1):
+        for rest in _sorted_vectors(length - 1, first):
+            yield (first,) + rest
+
+
+def brute_symbolic_representatives(n, c, m):
+    """Weakly decreasing minimal generators of the m-th symbolic power.
+
+    Scans every weakly decreasing vector in [0, m]^(n+1) and keeps the
+    members from which lowering any positive entry by one leaves the power.
+    Membership sorts the vector and sums its c smallest entries.
+    """
+    def member(vec):
+        return sum(sorted(vec)[:c]) >= m
+
+    reps = []
+    for vec in _sorted_vectors(n + 1, m):
+        if member(vec) and not any(
+                member(vec[:i] + (e - 1,) + vec[i + 1:])
+                for i, e in enumerate(vec) if e):
+            reps.append(vec)
+    return reps
+
+
 def brute_skeleton_gens(n, c):
     """Squarefree monomials of degree n-c+2, straight from the definition."""
     gens = []

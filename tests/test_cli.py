@@ -176,6 +176,9 @@ def test_budget_errors_exit_three(capsys):
     code, _, err = run_cli(capsys, "gens", "--n", "4", "--c", "2",
                            "--symbolic", "6", "--max-candidates", "5")
     assert code == 3
+    code, _, err = run_cli(capsys, "gens", "--n", "8", "--c", "4",
+                           "--symbolic", "8", "--max-candidates", "100")
+    assert code == 3 and "passed 100 candidates" in err
     code, _, err = run_cli(capsys, "resurgence", "--n", "2", "--c", "2",
                            "--box", "9999", "9999")
     assert code == 3

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _brute import (
+    _minimalize,
     brute_ordinary_member,
     brute_power_gens,
     brute_skeleton_gens,
     brute_symbolic_gens,
     brute_symbolic_member,
+    brute_symbolic_representatives,
 )
 from simplicial_ideals import (
     BudgetExceededError,
@@ -26,7 +28,6 @@ from simplicial_ideals import (
     ordinary_power_min_gens,
     simplicial_ideal,
     symbolic_member,
-    symbolic_member_subsets,
     symbolic_power,
     symbolic_power_oracle,
 )
@@ -45,6 +46,9 @@ def test_spec_validation():
         SimplicialSpec(2, 3)
     with pytest.raises(ParameterError):
         SimplicialSpec(2, 0)
+    for n, c in ((True, True), (2, True), (True, 1)):
+        with pytest.raises(ParameterError):
+            SimplicialSpec(n, c)
 
 
 def test_known_ideals():
@@ -117,14 +121,43 @@ def test_symbolic_member_matches_subset_check(n, data):
     mono = Monomial(exps)
     expected = brute_symbolic_member(n, c, m, mono)
     assert symbolic_member(spec, m, mono) == expected
-    assert symbolic_member_subsets(spec, m, mono) == expected
 
 
 @pytest.mark.parametrize("n,c", ALL_SPECS_3)
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_symbolic_power_matches_brute_force(n, c, m):
+    # the exact canonical order too: descending under Monomial.__lt__
     got = symbolic_power(SimplicialSpec(n, c), m)
-    assert set(got.gens) == set(brute_symbolic_gens(n, c, m))
+    assert got.gens == tuple(sorted(brute_symbolic_gens(n, c, m), reverse=True))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_symbolic_representatives_match_sorted_scan(n):
+    for c in range(1, n + 1):
+        spec = SimplicialSpec(n, c)
+        for m in range(1, 7):
+            reps = [g.exps for g in symbolic_power(spec, m).gens
+                    if list(g.exps) == sorted(g.exps, reverse=True)]
+            assert sorted(reps) == sorted(
+                brute_symbolic_representatives(n, c, m)), (n, c, m)
+
+
+@st.composite
+def shuffled_antichain(draw):
+    """A ring n in 1..4 and a random antichain in it, in random order."""
+    n = draw(st.integers(1, 4))
+    monos = draw(st.lists(
+        st.lists(st.integers(0, 4), min_size=n + 1, max_size=n + 1).map(
+            Monomial), max_size=15))
+    return n, draw(st.permutations(_minimalize(monos)))
+
+
+@given(shuffled_antichain())
+@settings(max_examples=150)
+def test_from_minimal_orders_descending_graded_lex(case):
+    n, gens = case
+    got = MonomialIdeal._from_minimal(n, gens)
+    assert got.gens == tuple(sorted(gens, reverse=True))
 
 
 def test_symbolic_power_matches_brute_force_p4():
@@ -201,10 +234,20 @@ def test_positive_exponent_required():
             symbolic_member(spec, bad, Monomial.unit(2))
         with pytest.raises(ParameterError):
             ordinary_member(spec, bad, Monomial.unit(2))
+    # a bool is not an exponent, though True == 1
+    for bad in (True, False):
+        with pytest.raises(ParameterError):
+            symbolic_power(spec, bad)
+        with pytest.raises(ParameterError):
+            symbolic_power_oracle(spec, bad)
+        with pytest.raises(ParameterError):
+            ordinary_power_min_gens(spec, bad)
 
 
 def test_budgets_raise_instead_of_truncating():
     with pytest.raises(BudgetExceededError):
         symbolic_power(SimplicialSpec(4, 2), 5, max_candidates=10)
+    with pytest.raises(BudgetExceededError):
+        symbolic_power(SimplicialSpec(8, 4), 8, max_candidates=100)
     with pytest.raises(BudgetExceededError):
         symbolic_power_oracle(SimplicialSpec(4, 2), 4, max_gens=3)
