@@ -19,8 +19,10 @@ from .errors import BudgetExceededError, DimensionError, MonomialParseError, Par
 from .monomials import Monomial
 from .simplicial import (
     SimplicialSpec,
+    ordinary_member_detail,
     ordinary_power_min_gens,
     simplicial_ideal,
+    symbolic_member_detail,
     symbolic_power,
 )
 from .verification import SCOPES, results_to_records, run_verification, summary_lines
@@ -84,17 +86,10 @@ def _cmd_gens(args, config):
 def _cmd_member(args, config):
     spec = SimplicialSpec(args.n, args.c)
     mono = Monomial.parse(args.monomial, args.n)
-    exps = mono.exps
     if args.symbolic is not None:
         m = args.symbolic
-        if m < 1:
-            raise ParameterError(f"m={m} must be >= 1")
         kind, exponent = "symbolic", m
-        # binding constraint: the c coordinates with the smallest exponents
-        order = sorted(range(args.n + 1), key=exps.__getitem__)[:args.c]
-        subset = sorted(order)
-        subset_sum = sum(exps[i] for i in subset)
-        member = subset_sum >= m
+        member, subset, subset_sum = symbolic_member_detail(spec, m, mono)
         detail = {"subset": subset, "subset_sum": subset_sum, "required": m}
         names = ", ".join(f"x{i}" for i in subset)
         if member:
@@ -104,12 +99,8 @@ def _cmd_member(args, config):
             explain = f"subset {{{names}}} has exponent sum {subset_sum} < {m}"
     else:
         r = args.power
-        if r < 1:
-            raise ParameterError(f"r={r} must be >= 1")
         kind, exponent = "power", r
-        capped = sum(min(e, r) for e in exps)
-        required = (args.n - args.c + 2) * r
-        member = capped >= required
+        member, capped, required = ordinary_member_detail(spec, r, mono)
         detail = {"capped_degree": capped, "required": required}
         if member:
             explain = f"capped degree {capped} meets required {required}"
@@ -233,8 +224,6 @@ def build_parser():
                         help="config file of key = value lines")
     common.add_argument("--max-candidates", type=int, default=None,
                         metavar="N", help="enumeration budget")
-    common.add_argument("--max-intersection-gens", type=int, default=None,
-                        metavar="N", help="intersection budget")
 
     parser = argparse.ArgumentParser(
         prog="sideal",
@@ -314,7 +303,6 @@ def main(argv=None):
             config_path=args.config,
             overrides={"format": args.format,
                        "max_candidates": args.max_candidates,
-                       "max_intersection_gens": args.max_intersection_gens,
                        "deep": getattr(args, "deep", None)})
         return args.handler(args, config)
     except (ParameterError, MonomialParseError, DimensionError) as exc:

@@ -10,7 +10,7 @@ import os
 from dataclasses import dataclass, replace
 
 from .errors import ParameterError
-from .simplicial import DEFAULT_MAX_CANDIDATES, DEFAULT_MAX_INTERSECTION_GENS
+from .simplicial import DEFAULT_MAX_CANDIDATES
 
 ENV_PREFIX = "SIDEAL_"
 
@@ -19,7 +19,6 @@ ENV_PREFIX = "SIDEAL_"
 class CliConfig:
     # enumeration budgets
     max_candidates: int = DEFAULT_MAX_CANDIDATES
-    max_intersection_gens: int = DEFAULT_MAX_INTERSECTION_GENS
     # caps on oracle-backed cross checks, which are exponential in n
     oracle_n_cap: int = 4
     oracle_m_cap: int = 12
@@ -28,8 +27,8 @@ class CliConfig:
     deep: bool = False
 
 
-_INT_FIELDS = {"max_candidates", "max_intersection_gens",
-               "oracle_n_cap", "oracle_m_cap", "oracle_r_cap"}
+_INT_FIELDS = {"max_candidates", "oracle_n_cap", "oracle_m_cap",
+               "oracle_r_cap"}
 _BOOL_FIELDS = {"deep"}
 _STR_FIELDS = {"format"}
 _ALL_FIELDS = _INT_FIELDS | _BOOL_FIELDS | _STR_FIELDS

@@ -15,26 +15,27 @@ decision.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ParameterError
 from .simplicial import (
     SimplicialSpec,
+    _require_power,
     ordinary_member,
     symbolic_member,
     symbolic_power,
 )
 
 
-def _require_positive(**params):
-    for name, value in params.items():
-        if value < 1:
-            raise ParameterError(f"{name}={value} must be >= 1")
-
-
 def decompose_exponent(c, m):
     """Write m = k*c - p with 0 <= p < c; returns (k, p), k = ceil(m/c)."""
-    _require_positive(c=c, m=m)
+    _require_power("c", c)
+    _require_power("m", m)
     k = -(-m // c)
     return k, k * c - m
+
+
+def _largest_contained_r(n, c, m):
+    """Largest r that containment_criterion admits for (n, c, m)."""
+    k, p = decompose_exponent(c, m)
+    return ((n + 1) * k - p) // (n - c + 2)
 
 
 def containment_criterion(n, c, m, r):
@@ -45,16 +46,15 @@ def containment_criterion(n, c, m, r):
     boundary case of equality is a containment.
     """
     SimplicialSpec(n, c)
-    _require_positive(m=m, r=r)
-    k, p = decompose_exponent(c, m)
-    return r * (n - c + 2) <= (n + 1) * k - p
+    _require_power("r", r)
+    return r <= _largest_contained_r(n, c, m)
 
 
 def containment_oracle(n, c, m, r, max_candidates=None):
     """Decide the same containment by brute force: every minimal generator
     of the symbolic power must pass the ordinary-power membership test."""
     spec = SimplicialSpec(n, c)
-    _require_positive(m=m, r=r)
+    _require_power("r", r)  # symbolic_power checks m
     sym = symbolic_power(spec, m, max_candidates=max_candidates)
     return all(ordinary_member(spec, r, g) for g in sym.gens)
 
@@ -65,7 +65,8 @@ def symbolic_containment_sufficient(c, d, m, s):
 
     One-directional -- the containment can hold while this returns False.
     """
-    _require_positive(c=c, d=d, m=m, s=s)
+    for name, value in (("c", c), ("d", d), ("m", m), ("s", s)):
+        _require_power(name, value)
     return c <= d and s * c <= m * d
 
 
@@ -77,7 +78,7 @@ def symbolic_containment_oracle(n, c, d, m, s, max_candidates=None):
     """
     src = SimplicialSpec(n, c)
     dst = SimplicialSpec(n, d)
-    _require_positive(m=m, s=s)
+    _require_power("s", s)  # symbolic_power checks m
     sym = symbolic_power(src, m, max_candidates=max_candidates)
     return all(symbolic_member(dst, s, g) for g in sym.gens)
 
@@ -97,38 +98,32 @@ def resurgence_witness(n, c, k):
     resurgence from below as k grows.
     """
     SimplicialSpec(n, c)
-    _require_positive(k=k)
+    _require_power("k", k)
     m = k * c
     r = (n + 1) * k // (n - c + 2) + 1
     return m, r
 
 
-def empirical_resurgence_sup(n, c, max_m, max_r, use_oracle=False,
-                             max_candidates=None):
+def empirical_resurgence_sup(n, c, max_m, max_r):
     """Largest m/r with noncontainment over the box 1..max_m x 1..max_r.
 
     Returns (sup, (m, r)) as an exact Fraction with the first pair attaining
     it (scanning m then r ascending), or (None, None) if every pair in the
-    box is a containment.  The closed-form criterion decides noncontainment
-    unless ``use_oracle`` forces the brute-force route.
+    box is a containment.  For fixed m the noncontained r are exactly those
+    above _largest_contained_r, so only the least of them can attain the
+    sup, and one pass over m suffices.
     """
     SimplicialSpec(n, c)
-    _require_positive(max_m=max_m, max_r=max_r)
-    best = None
-    argmax = None
+    _require_power("max_m", max_m)
+    _require_power("max_r", max_r)
+    best = argmax = None
     for m in range(1, max_m + 1):
-        for r in range(1, max_r + 1):
-            if use_oracle:
-                contained = containment_oracle(n, c, m, r,
-                                               max_candidates=max_candidates)
-            else:
-                contained = containment_criterion(n, c, m, r)
-            if contained:
-                continue
-            ratio = Fraction(m, r)
-            if best is None or ratio > best:
-                best = ratio
-                argmax = (m, r)
+        r = _largest_contained_r(n, c, m) + 1
+        if r > max_r:
+            continue
+        ratio = Fraction(m, r)
+        if best is None or ratio > best:
+            best, argmax = ratio, (m, r)
     return best, argmax
 
 
@@ -138,7 +133,7 @@ def smallest_containing_symbolic_power(n, c, r, use_oracle=False,
     criterion bound grows strictly with m; m = c*r always succeeds, which
     caps the scan."""
     SimplicialSpec(n, c)
-    _require_positive(r=r)
+    _require_power("r", r)
     for m in range(1, c * r + 1):
         if use_oracle:
             if containment_oracle(n, c, m, r, max_candidates=max_candidates):
@@ -214,8 +209,7 @@ class ResurgenceReport:
     empirical_argmax: tuple = None
 
 
-def resurgence_report(n, c, witness_count=0, box=None, use_oracle=False,
-                      max_candidates=None):
+def resurgence_report(n, c, witness_count=0, box=None):
     rho = resurgence(n, c)
     witnesses = []
     for k in range(1, witness_count + 1):
@@ -223,10 +217,7 @@ def resurgence_report(n, c, witness_count=0, box=None, use_oracle=False,
         witnesses.append((k, m, r, Fraction(m, r)))
     sup = argmax = None
     if box is not None:
-        max_m, max_r = box
-        sup, argmax = empirical_resurgence_sup(
-            n, c, max_m, max_r, use_oracle=use_oracle,
-            max_candidates=max_candidates)
+        sup, argmax = empirical_resurgence_sup(n, c, *box)
     return ResurgenceReport(n=n, c=c, rho=rho, witnesses=witnesses,
                             box=tuple(box) if box else None,
                             empirical_sup=sup, empirical_argmax=argmax)

@@ -74,8 +74,7 @@ class FacePrime:
 
     def power_ideal(self, m):
         """m-th power: generated by all degree-m monomials in the c variables."""
-        if m < 1:
-            raise ParameterError(f"m={m} must be >= 1")
+        _require_power("m", m)
         c = len(self.variables)
         gens = []
         # compositions of m into c parts, via bar positions
@@ -108,17 +107,17 @@ def face_primes(spec):
 
 
 def _require_power(name, value):
-    """Reject an exponent below 1, and a bool posing as the int 0 or 1."""
-    if isinstance(value, bool):
+    """Reject an integer parameter below 1, and a bool posing as 0 or 1."""
+    if value is True or value is False:
         raise ParameterError(f"{name}={value!r} must be an integer, not a bool")
     if value < 1:
         raise ParameterError(f"{name}={value} must be >= 1")
 
 
-def _check_vector(spec, a):
-    if len(a.exps) != spec.n + 1:
-        raise DimensionError(
-            f"monomial has ambient n={a.n}, spec has n={spec.n}")
+def _ring_mismatch(spec, a):
+    """The error for a monomial outside the ring of spec.  The membership
+    tests, which the oracles call per generator, check the length inline."""
+    return DimensionError(f"monomial has ambient n={a.n}, spec has n={spec.n}")
 
 
 def symbolic_member(spec, m, a):
@@ -128,10 +127,22 @@ def symbolic_member(spec, m, a):
     over c-subsets is attained at the c smallest entries, so sorting once
     replaces the binomial(n+1, c) subset scan.
     """
-    if m < 1:
-        raise ParameterError(f"m={m} must be >= 1")
-    _check_vector(spec, a)
+    _require_power("m", m)
+    if len(a.exps) != spec.n + 1:
+        raise _ring_mismatch(spec, a)
     return sum(sorted(a.exps)[:spec.c]) >= m
+
+
+def symbolic_member_detail(spec, m, a):
+    """symbolic_member with its binding constraint: (member, subset,
+    subset_sum), subset the first c-subset in lexicographic order with the
+    least exponent sum.  symbolic_member, on the oracles' per-generator
+    path, skips the index sort this needs.
+    """
+    member = symbolic_member(spec, m, a)
+    exps = a.exps
+    subset = sorted(sorted(range(spec.n + 1), key=exps.__getitem__)[:spec.c])
+    return member, subset, sum(exps[i] for i in subset)
 
 
 def _partitions(total, parts, cap):
@@ -260,7 +271,14 @@ def ordinary_member(spec, r, a):
     generator degree pattern can be carved out of a exactly when the capped
     coordinate sum reaches the required total degree.
     """
-    if r < 1:
-        raise ParameterError(f"r={r} must be >= 1")
-    _check_vector(spec, a)
+    _require_power("r", r)
+    if len(a.exps) != spec.n + 1:
+        raise _ring_mismatch(spec, a)
     return sum(map(min, a.exps, repeat(r))) >= (spec.n - spec.c + 2) * r
+
+
+def ordinary_member_detail(spec, r, a):
+    """ordinary_member with its binding constraint: (member, capped_degree,
+    required), capped_degree = sum_i min(a_i, r), required = (n-c+2)*r."""
+    member = ordinary_member(spec, r, a)
+    return member, sum(map(min, a.exps, repeat(r))), (spec.n - spec.c + 2) * r

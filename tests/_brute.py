@@ -4,6 +4,7 @@ Everything here enumerates instead of using closed forms, so agreement with
 the package's fast paths is meaningful evidence.
 """
 
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
 from simplicial_ideals import Monomial
@@ -13,6 +14,25 @@ def brute_symbolic_member(n, c, m, mono):
     """Check every c-subset of coordinates, no sorting shortcut."""
     return all(sum(mono.exps[i] for i in sub) >= m
                for sub in combinations(range(n + 1), c))
+
+
+def brute_symbolic_binding(n, c, mono):
+    """The first c-subset in lexicographic order with the least exponent sum,
+    and that sum, found by scanning every c-subset."""
+    best = None
+    for sub in combinations(range(n + 1), c):
+        total = sum(mono.exps[i] for i in sub)
+        if best is None or total < best[1]:
+            best = (list(sub), total)
+    return best
+
+
+def brute_capped_degree(r, mono):
+    """Sum over the coordinates of min(a_i, r), by an explicit loop."""
+    total = 0
+    for e in mono.exps:
+        total += e if e < r else r
+    return total
 
 
 def _minimalize(monos):
@@ -94,3 +114,20 @@ def brute_ordinary_member(n, c, r, mono, gens=None):
     if gens is None:
         gens = brute_power_gens(n, c, r)
     return any(g.divides(mono) for g in gens)
+
+
+def brute_resurgence_sup(n, c, max_m, max_r, contained):
+    """Largest m/r over the noncontained pairs of the box, by scanning every
+    cell, m then r ascending; ``contained(n, c, m, r)`` decides each cell.
+
+    Returns (sup, (m, r)) with the first pair attaining it, or (None, None).
+    """
+    best = argmax = None
+    for m in range(1, max_m + 1):
+        for r in range(1, max_r + 1):
+            if contained(n, c, m, r):
+                continue
+            ratio = Fraction(m, r)
+            if best is None or ratio > best:
+                best, argmax = ratio, (m, r)
+    return best, argmax

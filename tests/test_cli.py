@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import simplicial_ideals
-from simplicial_ideals import MonomialIdeal, SimplicialSpec, symbolic_power
+from _brute import brute_capped_degree, brute_symbolic_binding
+from simplicial_ideals import Monomial, MonomialIdeal, SimplicialSpec, symbolic_power
 from simplicial_ideals.cli import main
 from simplicial_ideals.verification import ClaimResult
 
@@ -15,6 +20,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_json(*argv):
+    """Run the CLI without pytest's capture fixture, for property tests."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return json.loads(out.getvalue())
 
 
 def test_gens_symbolic_listing(capsys):
@@ -49,17 +62,20 @@ def test_member_output(capsys):
     code, out, _ = run_cli(capsys, "member", "--n", "2", "--c", "2",
                            "--symbolic", "2", "x0*x1*x2")
     assert code == 0
-    assert out.splitlines()[0] == "true"
+    assert out == ("true\nevery 2-subset of variables has exponent sum >= 2"
+                   " (minimum 2 on {x0, x1})\n")
     code, out, _ = run_cli(capsys, "member", "--n", "2", "--c", "2",
                            "--symbolic", "2", "x0^2*x1")
     assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "false"
-    assert "{x1, x2}" in lines[1] and "1 < 2" in lines[1]
+    assert out == "false\nsubset {x1, x2} has exponent sum 1 < 2\n"
     code, out, _ = run_cli(capsys, "member", "--n", "3", "--c", "2",
                            "--power", "2", "x0^2*x1^2*x2^2")
     assert code == 0
-    assert out.splitlines()[0] == "true"
+    assert out == "true\ncapped degree 6 meets required 6\n"
+    code, out, _ = run_cli(capsys, "member", "--n", "3", "--c", "2",
+                           "--power", "2", "x0^2*x1^2*x3")
+    assert code == 0
+    assert out == "false\ncapped degree 5 below required 6 (deficit 1)\n"
 
 
 def test_member_json_detail(capsys):
@@ -71,6 +87,29 @@ def test_member_json_detail(capsys):
     assert payload["detail"] == {"subset": [1, 2], "subset_sum": 1,
                                  "required": 2}
     assert payload["query"]["monomial"] == "x0^2*x1"
+
+
+@given(st.integers(1, 4), st.data())
+@settings(max_examples=100, deadline=None)
+def test_member_json_detail_matches_brute(n, data):
+    c = data.draw(st.integers(1, n))
+    exponent = data.draw(st.integers(1, 6))
+    mono = Monomial(data.draw(st.lists(st.integers(0, 6), min_size=n + 1,
+                                       max_size=n + 1)))
+    query = ["member", "--n", str(n), "--c", str(c), str(mono),
+             "--format", "json"]
+
+    subset, subset_sum = brute_symbolic_binding(n, c, mono)
+    payload = run_json(*query, "--symbolic", str(exponent))
+    assert payload["detail"] == {"subset": subset, "subset_sum": subset_sum,
+                                 "required": exponent}
+    assert payload["member"] is (subset_sum >= exponent)
+
+    capped = brute_capped_degree(exponent, mono)
+    required = (n - c + 2) * exponent
+    payload = run_json(*query, "--power", str(exponent))
+    assert payload["detail"] == {"capped_degree": capped, "required": required}
+    assert payload["member"] is (capped >= required)
 
 
 def test_containment_output(capsys):

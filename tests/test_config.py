@@ -33,9 +33,10 @@ def test_config_file_errors(tmp_path):
     path.write_text("no equals sign\n")
     with pytest.raises(ParameterError):
         parse_config_file(path)
-    path.write_text("unknown_key = 1\n")
-    with pytest.raises(ParameterError):
-        parse_config_file(path)
+    for key in ("unknown_key", "max_intersection_gens"):
+        path.write_text(f"{key} = 1\n")
+        with pytest.raises(ParameterError):
+            parse_config_file(path)
     path.write_text("max_candidates = lots\n")
     with pytest.raises(ParameterError):
         parse_config_file(path)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from _brute import brute_symbolic_gens
+from _brute import brute_resurgence_sup, brute_symbolic_gens
 from simplicial_ideals import (
     Monomial,
     ParameterError,
@@ -127,10 +127,27 @@ def test_empirical_sup_frozen_values():
     assert empirical_resurgence_sup(2, 1, 12, 12) == (Fraction(11, 12), (11, 12))
 
 
-def test_empirical_sup_oracle_route_agrees():
-    fast = empirical_resurgence_sup(2, 2, 6, 6)
-    slow = empirical_resurgence_sup(2, 2, 6, 6, use_oracle=True)
-    assert fast == slow
+def test_empirical_sup_matches_grid_scan():
+    # the one-pass sweep against a scan of every cell, deciding each cell
+    # by the criterion over boxes up to 30 x 30 ...
+    sides = (1, 2, 3, 5, 8, 13, 21, 30)
+    for n in range(1, 6):
+        for c in range(1, n + 1):
+            for max_m in sides:
+                for max_r in sides:
+                    assert empirical_resurgence_sup(n, c, max_m, max_r) == \
+                        brute_resurgence_sup(n, c, max_m, max_r,
+                                             containment_criterion), \
+                        (n, c, max_m, max_r)
+    # ... and by the generator oracle over every box up to 6 x 6
+    for n in range(1, 4):
+        for c in range(1, n + 1):
+            for max_m in range(1, 7):
+                for max_r in range(1, 7):
+                    assert empirical_resurgence_sup(n, c, max_m, max_r) == \
+                        brute_resurgence_sup(n, c, max_m, max_r,
+                                             containment_oracle), \
+                        (n, c, max_m, max_r)
 
 
 def test_empirical_sup_below_rho():
@@ -191,6 +208,15 @@ def test_parameter_validation():
             lambda: containment_criterion(2, 3, 1, 1),
             lambda: containment_criterion(2, 2, 0, 1),
             lambda: containment_criterion(2, 2, 1, 0),
+            lambda: containment_criterion(2, 2, True, True),
+            lambda: containment_criterion(2, 2, 1, True),
+            lambda: containment_oracle(2, 2, True, 1),
+            lambda: decompose_exponent(True, 3),
+            lambda: resurgence_witness(2, 2, True),
+            lambda: symbolic_containment_sufficient(1, 1, True, 1),
+            lambda: symbolic_containment_oracle(2, 1, 2, 1, True),
+            lambda: smallest_containing_symbolic_power(2, 2, True),
+            lambda: empirical_resurgence_sup(2, 2, True, 3),
             lambda: decompose_exponent(0, 3),
             lambda: resurgence(0, 1),
             lambda: resurgence_witness(2, 2, 0),

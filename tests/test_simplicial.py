@@ -17,6 +17,7 @@ from _brute import (
 )
 from simplicial_ideals import (
     BudgetExceededError,
+    DimensionError,
     FacePrime,
     Monomial,
     MonomialIdeal,
@@ -30,6 +31,10 @@ from simplicial_ideals import (
     symbolic_member,
     symbolic_power,
     symbolic_power_oracle,
+)
+from simplicial_ideals.simplicial import (
+    ordinary_member_detail,
+    symbolic_member_detail,
 )
 
 ALL_SPECS_3 = [(n, c) for n in range(1, 4) for c in range(1, n + 1)]
@@ -108,6 +113,11 @@ def test_symbolic_member_examples():
     assert ordinary_member(E, 2, M("x0^2*x1^2*x2^2", 3))
     assert not symbolic_member(E, 3, M("x0^2*x1^2*x2^2", 3))
     assert symbolic_member(E, 3, M("x0^2*x1^2*x2^2*x3", 3))
+    # a monomial from another ring is an error, not a verdict
+    for member in (symbolic_member, symbolic_member_detail,
+                   ordinary_member, ordinary_member_detail):
+        with pytest.raises(DimensionError):
+            member(V, 2, M("x0", 3))
 
 
 @given(st.integers(1, 3), st.data())
@@ -223,25 +233,21 @@ def test_ordinary_member_matches_divisibility():
 
 def test_positive_exponent_required():
     spec = SimplicialSpec(2, 2)
-    for bad in (0, -1):
-        with pytest.raises(ParameterError):
-            symbolic_power(spec, bad)
-        with pytest.raises(ParameterError):
-            symbolic_power_oracle(spec, bad)
-        with pytest.raises(ParameterError):
-            ordinary_power_min_gens(spec, bad)
-        with pytest.raises(ParameterError):
-            symbolic_member(spec, bad, Monomial.unit(2))
-        with pytest.raises(ParameterError):
-            ordinary_member(spec, bad, Monomial.unit(2))
+    prime = FacePrime(2, (0, 1))
     # a bool is not an exponent, though True == 1
-    for bad in (True, False):
+    for bad in (0, -1, True, False):
         with pytest.raises(ParameterError):
             symbolic_power(spec, bad)
         with pytest.raises(ParameterError):
             symbolic_power_oracle(spec, bad)
         with pytest.raises(ParameterError):
             ordinary_power_min_gens(spec, bad)
+        with pytest.raises(ParameterError):
+            prime.power_ideal(bad)
+        for member in (symbolic_member, symbolic_member_detail,
+                       ordinary_member, ordinary_member_detail):
+            with pytest.raises(ParameterError):
+                member(spec, bad, Monomial.unit(2))
 
 
 def test_budgets_raise_instead_of_truncating():
