@@ -48,31 +48,17 @@ def _frac_text(value):
     return None if value is None else str(value)
 
 
-def _gate_oracle(config, **limits):
-    """Refuse brute-force cross checks beyond the configured caps."""
-    caps = {"n": ("oracle_n_cap", config.oracle_n_cap),
-            "m": ("oracle_m_cap", config.oracle_m_cap),
-            "s": ("oracle_m_cap", config.oracle_m_cap),
-            "r": ("oracle_r_cap", config.oracle_r_cap)}
-    for name, value in limits.items():
-        cap_name, cap = caps[name]
-        if value > cap:
-            raise BudgetExceededError(
-                f"oracle request {name}={value} exceeds {cap_name}={cap}; "
-                f"raise SIDEAL_{cap_name.upper()} to allow it")
-
-
 def _cmd_gens(args, config):
     spec = SimplicialSpec(args.n, args.c)
+    budget = config.max_candidates
     if args.power is not None:
-        ideal = ordinary_power_min_gens(spec, args.power)
+        ideal = ordinary_power_min_gens(spec, args.power, max_candidates=budget)
         kind, exponent = "power", args.power
     elif args.symbolic is not None:
-        ideal = symbolic_power(spec, args.symbolic,
-                               max_candidates=config.max_candidates)
+        ideal = symbolic_power(spec, args.symbolic, max_candidates=budget)
         kind, exponent = "symbolic", args.symbolic
     else:
-        ideal = simplicial_ideal(spec)
+        ideal = simplicial_ideal(spec, max_candidates=budget)
         kind, exponent = "ideal", None
     if config.format == "json":
         payload = {"n": args.n, "c": args.c, "kind": kind, "exponent": exponent,
@@ -132,8 +118,6 @@ def _print_verdict(verdict, label, config):
 
 
 def _cmd_containment(args, config):
-    if args.oracle:
-        _gate_oracle(config, n=args.n, m=args.m, r=args.r)
     verdict = check_containment(args.n, args.c, args.m, args.r,
                                 with_oracle=args.oracle,
                                 max_candidates=config.max_candidates)
@@ -147,8 +131,6 @@ def _cmd_containment(args, config):
 
 
 def _cmd_containment_sym(args, config):
-    if args.oracle:
-        _gate_oracle(config, n=args.n, m=args.m, s=args.s)
     verdict = check_symbolic_containment(args.n, args.c, args.d, args.m,
                                          args.s, with_oracle=args.oracle,
                                          max_candidates=config.max_candidates)
@@ -160,12 +142,17 @@ def _cmd_containment_sym(args, config):
 
 
 def _cmd_resurgence(args, config):
+    # the box sweep is one pass over m, and each witness is one pair
     box = tuple(args.box) if args.box else None
-    if box and box[0] * box[1] > config.max_candidates:
+    if box and box[0] > config.max_candidates:
         raise BudgetExceededError(
-            f"box {box[0]}x{box[1]} exceeds max_candidates={config.max_candidates}")
+            f"box M={box[0]} exceeds max_candidates={config.max_candidates}")
     if args.witnesses < 0:
         raise ParameterError(f"--witnesses must be >= 0, got {args.witnesses}")
+    if args.witnesses > config.max_candidates:
+        raise BudgetExceededError(
+            f"--witnesses {args.witnesses} exceeds "
+            f"max_candidates={config.max_candidates}")
     report = resurgence_report(args.n, args.c, witness_count=args.witnesses,
                                box=box)
     if config.format == "json":
@@ -223,7 +210,8 @@ def build_parser():
     common.add_argument("--config", default=None, metavar="PATH",
                         help="config file of key = value lines")
     common.add_argument("--max-candidates", type=int, default=None,
-                        metavar="N", help="enumeration budget")
+                        metavar="N",
+                        help="most generators a listing or oracle builds")
 
     parser = argparse.ArgumentParser(
         prog="sideal",

@@ -17,18 +17,13 @@ ENV_PREFIX = "SIDEAL_"
 
 @dataclass(frozen=True)
 class CliConfig:
-    # enumeration budgets
+    # the most generators any listing or oracle builds
     max_candidates: int = DEFAULT_MAX_CANDIDATES
-    # caps on oracle-backed cross checks, which are exponential in n
-    oracle_n_cap: int = 4
-    oracle_m_cap: int = 12
-    oracle_r_cap: int = 12
     format: str = "text"
     deep: bool = False
 
 
-_INT_FIELDS = {"max_candidates", "oracle_n_cap", "oracle_m_cap",
-               "oracle_r_cap"}
+_INT_FIELDS = {"max_candidates"}
 _BOOL_FIELDS = {"deep"}
 _STR_FIELDS = {"format"}
 _ALL_FIELDS = _INT_FIELDS | _BOOL_FIELDS | _STR_FIELDS
@@ -81,11 +76,16 @@ def parse_config_file(path):
 
 
 def _env_settings(environ):
+    """Settings from SIDEAL_<KEY> variables.  Any other SIDEAL_* variable
+    but SIDEAL_CONFIG is an error, as an unknown key in a file is."""
+    keys = {ENV_PREFIX + key.upper(): key for key in _ALL_FIELDS}
     settings = {}
-    for key in _ALL_FIELDS:
-        raw = environ.get(ENV_PREFIX + key.upper())
-        if raw is not None:
-            settings[key] = _coerce(key, raw)
+    # iterate names only: os.environ decodes each value it yields
+    for name in environ:
+        if name in keys:
+            settings[keys[name]] = _coerce(keys[name], environ[name])
+        elif name.startswith(ENV_PREFIX) and name != ENV_PREFIX + "CONFIG":
+            raise ParameterError(f"unknown environment variable {name}")
     return settings
 
 

@@ -7,7 +7,6 @@ set is the zero ideal; the set {1} is the unit ideal.  All operations return
 new canonical ideals.
 """
 
-import json
 from operator import attrgetter, le
 
 from .errors import BudgetExceededError, DimensionError, ParameterError
@@ -138,17 +137,10 @@ class MonomialIdeal:
         theirs = [h.exps for h in other.gens]
         return all(_has_divisor(theirs, g.exps) for g in self.gens)
 
-    def __ge__(self, other):
-        return other.__le__(self)
-
     def __eq__(self, other):
         if not isinstance(other, MonomialIdeal):
             return NotImplemented
         return self.n == other.n and self.gens == other.gens
-
-    def equals(self, other):
-        self._check_same_ring(other)
-        return self.gens == other.gens
 
     def __hash__(self):
         return hash((self.n, self.gens))
@@ -162,9 +154,6 @@ class MonomialIdeal:
     def to_lists(self):
         """Generators as a list of exponent lists (JSON-ready)."""
         return [list(g.exps) for g in self.gens]
-
-    def to_json(self):
-        return json.dumps(self.to_lists())
 
     @classmethod
     def from_lists(cls, n, lists):

@@ -11,13 +11,15 @@ of degree n+2-c.  This module builds them and computes
 * ordinary powers, by the closed form for their minimal generators
   (total degree exactly (n-c+2)r with every exponent <= r).
 
-Everything is exact integer combinatorics; enumerations are guarded by
-candidate budgets that raise BudgetExceededError instead of returning a
-truncated answer.
+Everything is exact integer combinatorics.  Each builder counts its
+generators in closed form before building one, and raises
+BudgetExceededError past its ``max_candidates`` budget instead of starting
+an enumeration it cannot finish.
 """
 
 from dataclasses import dataclass
 from itertools import combinations, repeat
+from math import comb, factorial, prod
 
 from .errors import BudgetExceededError, DimensionError, ParameterError
 from .ideals import MonomialIdeal, intersect_all
@@ -88,10 +90,24 @@ class FacePrime:
         return MonomialIdeal._from_minimal(self.n, gens)
 
 
-def simplicial_ideal(spec):
-    """I(n,c): all squarefree monomials of degree n+2-c in x_0..x_n."""
+def _check_budget(ideal, count, max_candidates, bound=""):
+    """Raise BudgetExceededError when ``count`` generators of ``ideal`` pass
+    max_candidates (None: DEFAULT_MAX_CANDIDATES)."""
+    limit = DEFAULT_MAX_CANDIDATES if max_candidates is None else max_candidates
+    if count > limit:
+        raise BudgetExceededError(f"{ideal} has {bound}{count} generators, "
+                                  f"more than max_candidates={limit}")
+
+
+def simplicial_ideal(spec, max_candidates=None):
+    """I(n,c): all squarefree monomials of degree n+2-c in x_0..x_n.
+
+    There are binomial(n+1, n+2-c) of them; BudgetExceededError is raised,
+    before any is built, when that passes ``max_candidates``.
+    """
     n, c = spec.n, spec.c
     deg = n + 2 - c
+    _check_budget(f"I({n},{c})", comb(n + 1, deg), max_candidates)
     gens = []
     for support in combinations(range(n + 1), deg):
         exps = [0] * (n + 1)
@@ -176,12 +192,6 @@ def _distinct_permutations(values):
         seq[i + 1:] = reversed(seq[i + 1:])
 
 
-def _budget_error(spec, m, budget):
-    return BudgetExceededError(
-        f"symbolic power enumeration for {spec} m={m} passed "
-        f"{budget} candidates")
-
-
 def symbolic_power(spec, m, max_candidates=None):
     """Canonical minimal generating set of the m-th symbolic power of I(n,c).
 
@@ -204,25 +214,23 @@ def symbolic_power(spec, m, max_candidates=None):
 
     So the representatives are (t1,)*(n-c+1) + t, one for each partition
     t = (t1 >= ... >= tc >= 0) of m into at most c parts, and no generator
-    has an exponent above m.  Each representative and each permutation
-    emitted counts as one candidate against ``max_candidates``;
-    BudgetExceededError is raised past it instead of returning a truncated
-    ideal.
+    has an exponent above m.  A representative's orbit has the multinomial
+    (n+1)! / prod(multiplicity!) generators.  These are summed over the
+    partitions before any generator is built, and BudgetExceededError is
+    raised as soon as the sum passes ``max_candidates``.
     """
     _require_power("m", m)
-    budget = DEFAULT_MAX_CANDIDATES if max_candidates is None else max_candidates
     n, c = spec.n, spec.c
-    seen = 0
-    gens = []
+    ideal = f"I^({m})({n},{c})"
+    count = 0
+    reps = []
     for tail in _partitions(m, c, m):
-        seen += 1
-        if seen > budget:
-            raise _budget_error(spec, m, budget)
-        for perm in _distinct_permutations((tail[0],) * (n - c + 1) + tail):
-            seen += 1
-            if seen > budget:
-                raise _budget_error(spec, m, budget)
-            gens.append(Monomial._trusted(perm))
+        rep = (tail[0],) * (n - c + 1) + tail
+        count += factorial(n + 1) // prod(map(factorial, map(rep.count, set(rep))))
+        _check_budget(ideal, count, max_candidates, "at least ")
+        reps.append(rep)
+    gens = [Monomial._trusted(perm)
+            for rep in reps for perm in _distinct_permutations(rep)]
     return MonomialIdeal._from_minimal(n, gens)
 
 
@@ -250,16 +258,28 @@ def _bounded_compositions(total, parts, cap):
             yield (first,) + rest
 
 
-def ordinary_power_min_gens(spec, r):
+def _bounded_composition_count(total, parts, cap):
+    """How many vectors _bounded_compositions yields: inclusion-exclusion
+    over the j entries forced above cap."""
+    return sum((-1) ** j * comb(parts, j)
+               * comb(total - j * (cap + 1) + parts - 1, parts - 1)
+               for j in range(min(parts, total // (cap + 1)) + 1))
+
+
+def ordinary_power_min_gens(spec, r, max_candidates=None):
     """Minimal generators of I(n,c)^r in closed form.
 
     They are exactly the exponent vectors of total degree (n-c+2)*r with
     every entry <= r; equal total degree makes the set an antichain, so no
     reduction step is needed.  Must coincide with simplicial_ideal(spec)**r.
+    BudgetExceededError is raised, before any generator is built, when
+    their number passes ``max_candidates``.
     """
     _require_power("r", r)
     n, c = spec.n, spec.c
     target = (n - c + 2) * r
+    _check_budget(f"I({n},{c})^{r}",
+                  _bounded_composition_count(target, n + 1, r), max_candidates)
     gens = [Monomial(vec) for vec in _bounded_compositions(target, n + 1, r)]
     return MonomialIdeal._from_minimal(n, gens)
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -22,12 +23,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_json(*argv):
+def run_quiet(*argv):
     """Run the CLI without pytest's capture fixture, for property tests."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(list(argv)) == 0
-    return json.loads(out.getvalue())
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_json(*argv):
+    code, out, _ = run_quiet(*argv)
+    assert code == 0
+    return json.loads(out)
 
 
 def test_gens_symbolic_listing(capsys):
@@ -144,6 +151,11 @@ def test_resurgence_output(capsys):
     assert code == 0
     assert "k=5  m=10  r=8  ratio=5/4" in out
     assert "sup 5/4 at m=10, r=8" in out
+    # the sweep is one pass over m, so a box of 10**8 pairs is quick
+    code, out, _ = run_cli(capsys, "resurgence", "--n", "2", "--c", "2",
+                           "--box", "9999", "9999")
+    assert code == 0
+    assert out.endswith("sup 9998/7499 at m=9998, r=7499\n")
 
 
 def test_resurgence_json(capsys):
@@ -209,18 +221,52 @@ def test_usage_errors_exit_two(capsys):
 
 
 def test_budget_errors_exit_three(capsys):
+    # counted before anything is built, so each refusal is immediate
+    for argv, message in (
+            (("gens", "--n", "30", "--c", "15", "--power", "5"),
+             "I(30,15)^5 has 40796393460620477245247 generators"),
+            (("gens", "--n", "40", "--c", "20"),
+             "I(40,20) has 244662670200 generators"),
+            (("resurgence", "--n", "2", "--c", "2", "--witnesses",
+              "100000000"), "--witnesses 100000000 exceeds")):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 3 and message in err and "max_candidates=" in err
     code, _, err = run_cli(capsys, "containment", "--n", "6", "--c", "2",
-                           "--m", "3", "--r", "2", "--oracle")
-    assert code == 3 and "oracle_n_cap" in err
+                           "--m", "3", "--r", "2", "--oracle",
+                           "--max-candidates", "10")
+    assert code == 3 and "I^(3)(6,2) has at least 14 generators" in err
     code, _, err = run_cli(capsys, "gens", "--n", "4", "--c", "2",
                            "--symbolic", "6", "--max-candidates", "5")
     assert code == 3
     code, _, err = run_cli(capsys, "gens", "--n", "8", "--c", "4",
                            "--symbolic", "8", "--max-candidates", "100")
-    assert code == 3 and "passed 100 candidates" in err
+    assert code == 3 and "more than max_candidates=100" in err
     code, _, err = run_cli(capsys, "resurgence", "--n", "2", "--c", "2",
-                           "--box", "9999", "9999")
-    assert code == 3
+                           "--box", "101", "5", "--max-candidates", "100")
+    assert code == 3 and "box M=101" in err
+
+
+@given(st.integers(1, 40), st.data())
+@settings(max_examples=100, deadline=None)
+def test_listings_and_oracles_stay_within_budget(n, data):
+    c = data.draw(st.integers(1, n))
+    nc = ["--n", str(n), "--c", str(c)]
+    exponent = str(data.draw(st.integers(1, 40)))
+    r = str(data.draw(st.integers(1, 40)))
+    argv = data.draw(st.sampled_from([
+        ["gens", *nc], ["gens", *nc, "--power", exponent],
+        ["gens", *nc, "--symbolic", exponent],
+        ["containment", *nc, "--m", exponent, "--r", r, "--oracle"]]))
+    code, out, err = run_quiet(*argv, "--max-candidates", "20000")
+    assert code in (0, 3)
+    if code == 3:
+        assert "more than max_candidates=20000" in err
+    elif argv[0] == "gens":
+        assert 1 <= len(out.splitlines()) <= 20000
+    else:
+        assert out.endswith("agree: true\n")
 
 
 def test_env_and_flag_precedence(capsys, monkeypatch):
@@ -244,12 +290,12 @@ def test_config_file_flag(tmp_path, capsys):
     assert code == 2
 
 
-def test_oracle_cap_can_be_raised_via_env(capsys, monkeypatch):
-    monkeypatch.setenv("SIDEAL_ORACLE_N_CAP", "6")
-    code, out, _ = run_cli(capsys, "containment", "--n", "6", "--c", "2",
-                           "--m", "2", "--r", "2", "--oracle")
+def test_oracle_runs_within_the_generator_budget(capsys):
+    # 8830 generators: no cap on n, m or r, only the one budget
+    code, out, _ = run_cli(capsys, "containment", "--n", "8", "--c", "4",
+                           "--m", "12", "--r", "5", "--oracle")
     assert code == 0
-    assert "agree: true" in out
+    assert out.endswith("agree: true\n")
 
 
 def run_module(*argv):

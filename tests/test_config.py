@@ -47,17 +47,25 @@ def test_config_file_errors(tmp_path):
         parse_config_file(tmp_path / "missing.conf")
 
 
-def test_env_variables():
-    environ = {"SIDEAL_FORMAT": "json", "SIDEAL_ORACLE_N_CAP": "6",
-               "SIDEAL_DEEP": "true"}
+def test_env_variables(tmp_path):
+    environ = {"SIDEAL_FORMAT": "json", "SIDEAL_MAX_CANDIDATES": "6",
+               "SIDEAL_DEEP": "true", "OTHER_ORACLE_N_CAP": "6"}
     config = load_config(environ=environ)
     assert config.format == "json"
-    assert config.oracle_n_cap == 6
+    assert config.max_candidates == 6
     assert config.deep
     with pytest.raises(ParameterError):
         load_config(environ={"SIDEAL_FORMAT": "xml"})
     with pytest.raises(ParameterError):
         load_config(environ={"SIDEAL_DEEP": "maybe"})
+    # an unknown SIDEAL_* variable is an error, as an unknown file key is
+    for name in ("SIDEAL_ORACLE_N_CAP", "SIDEAL_MAX_INTERSECTION_GENS",
+                 "SIDEAL_max_candidates", "SIDEAL_"):
+        with pytest.raises(ParameterError, match=name):
+            load_config(environ={name: "6"})
+    path = tmp_path / "sideal.conf"
+    path.write_text("deep = yes\n")
+    assert load_config(environ={"SIDEAL_CONFIG": str(path)}).deep
 
 
 def test_precedence_flags_env_file(tmp_path):

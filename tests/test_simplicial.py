@@ -250,6 +250,24 @@ def test_positive_exponent_required():
                 member(spec, bad, Monomial.unit(2))
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_budget_boundary_is_exact(n):
+    # each builder counts its generators before building them: a budget of
+    # exactly that many must pass, one fewer must raise
+    for c in range(1, n + 1):
+        spec = SimplicialSpec(n, c)
+        builds = [lambda budget: simplicial_ideal(spec, budget)]
+        builds += [lambda budget, m=m: symbolic_power(spec, m, budget)
+                   for m in range(1, 7)]
+        builds += [lambda budget, r=r: ordinary_power_min_gens(spec, r, budget)
+                   for r in range(1, 4)]
+        for build in builds:
+            size = len(build(None).gens)
+            assert len(build(size).gens) == size
+            with pytest.raises(BudgetExceededError):
+                build(size - 1)
+
+
 def test_budgets_raise_instead_of_truncating():
     with pytest.raises(BudgetExceededError):
         symbolic_power(SimplicialSpec(4, 2), 5, max_candidates=10)
