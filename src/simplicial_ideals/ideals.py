@@ -5,17 +5,111 @@ of its minimal monomial generators, stored sorted in descending graded-lex
 order so that equal ideals always serialize identically.  The empty generator
 set is the zero ideal; the set {1} is the unit ideal.  All operations return
 new canonical ideals.
+
+Every divisibility test -- reduction to the antichain, containment ``<=``,
+``contains`` and the intersection's pruning -- goes through one structure,
+``_DivisorIndex``.  Tuple k of an index owns bit k.  For each coordinate i and
+each value v up to ``top``, the largest indexed entry, the index keeps the int
+whose set bits are the tuples with entry i <= v.  A vector a has a divisor in
+the index iff the AND over i of those ints at min(a_i, top) is nonzero: at
+most n+1 C-level big-int ANDs per query, however many tuples are indexed.
+Entries above ``_DENSE_TOP`` are first replaced by their ranks (``_compact``),
+so the masks never grow with the size of an exponent.
 """
 
-from operator import attrgetter, le
+from bisect import bisect_right
+from itertools import accumulate, chain, compress, count, filterfalse, repeat
+from operator import add, attrgetter, getitem, lshift, or_
 
 from .errors import BudgetExceededError, DimensionError, ParameterError
 from .monomials import Monomial
 
+_exps = attrgetter("exps")
 
-def _has_divisor(divisors, exps):
-    """True iff some exponent tuple in ``divisors`` is <= ``exps`` entrywise."""
-    return any(all(map(le, d, exps)) for d in divisors)
+# The largest entry an index keeps one mask per value for: past it, a value
+# axis of top+1 masks per coordinate would cost more than ranking the entries.
+_DENSE_TOP = 256
+
+
+def _le_masks(tuples, top):
+    """For each coordinate i, the list over v in [0, top] of the int whose
+    bit k is set iff tuples[k][i] <= v; every entry must be at most top."""
+    rows = []
+    for column in zip(*tuples):
+        exact = [0] * (top + 1)
+        bit = 1
+        for e in column:
+            exact[e] |= bit
+            bit <<= 1
+        rows.append(list(accumulate(exact, or_)))
+    return rows
+
+
+class _DivisorIndex:
+    """Exact divisibility test against a growing set of exponent tuples.
+
+    Invariant: with ``size`` tuples indexed, all of length ``len(masks)`` and
+    with entries at most ``top``, ``masks[i][v]`` for 0 <= v <= top has bit k
+    set iff tuple k has entry i <= v.  So ``masks[i][top]`` holds all ``size``
+    bits, and a query entry above top is clamped to top.  The empty index has
+    top 0 and masks of 0, so no query finds a divisor in it.
+    """
+
+    __slots__ = ("masks", "top", "size")
+
+    def __init__(self, width, tuples=()):
+        if tuples:
+            self.top = max(chain.from_iterable(tuples))
+            self.masks = _le_masks(tuples, self.top)
+        else:
+            self.top = 0
+            self.masks = [[0]] * width
+        self.size = len(tuples)
+
+    def add(self, tuples):
+        """Index the tuples of the list ``tuples`` as the next bits."""
+        if not tuples:
+            return
+        old_top, size = self.top, self.size
+        top = self.top = max(old_top, max(chain.from_iterable(tuples)))
+        # the batch's masks count bits from 0: shift them past the old ones
+        self.masks = [
+            list(map(or_, row + [row[-1]] * (top - old_top),
+                     map(lshift, batch, repeat(size))))
+            for row, batch in zip(self.masks, _le_masks(tuples, top))]
+        self.size = size + len(tuples)
+
+    def has_divisor(self, exps):
+        """True iff some indexed tuple is <= ``exps`` entrywise.  The AND
+        stops at the first coordinate that leaves no candidate."""
+        top = self.top
+        acc = -1
+        for row, e in zip(self.masks, exps):
+            acc &= row[e if e < top else top]
+            if not acc:
+                return False
+        return True
+
+
+def _compact(*lists):
+    """The lists of exponent tuples with each entry replaced by its rank
+    among the distinct entries of its coordinate over all the lists.  Ranks
+    keep the order within each coordinate, so divisibility and lex order
+    between any two of the tuples are unchanged, and no rank exceeds the
+    number of tuples.  Callers rank when an indexed entry may pass
+    _DENSE_TOP, the largest that gets a dense value axis."""
+    ranks = [dict(zip(sorted(set(column)), count()))
+             for column in zip(*chain(*lists))]
+    return [[tuple(map(getitem, ranks, t)) for t in tuples] for tuples in lists]
+
+
+def _divisible(width, queries, divisors):
+    """For each tuple of the list ``queries``, lazily, whether some tuple of
+    the list ``divisors`` divides it.  A query entry above every divisor's
+    is clamped, so only a large divisor entry calls for ranks."""
+    if max(chain.from_iterable(divisors), default=0) > _DENSE_TOP:
+        queries, divisors = _compact(queries, divisors)
+    return map(_DivisorIndex(width, divisors).has_divisor, queries)
 
 
 def _reduce_to_antichain(gens):
@@ -25,24 +119,44 @@ def _reduce_to_antichain(gens):
     degree.  A strict divisor has strictly smaller total degree (distinct
     monomials of equal degree never divide one another), so the buckets are
     swept in ascending degree and each candidate is tested only against the
-    generators kept from lower-degree buckets.  An equigenerated input, such as
-    a power of an equigenerated ideal, therefore costs no divisibility test.
-    Callers check that every candidate lies in the ideal's ring; the sweep
-    compares raw tuples.
+    generators kept from lower-degree buckets.  Those sit in a
+    ``_DivisorIndex`` that grows one bucket at a time; invariant: before a
+    bucket is filtered, the index holds exactly the minimal generators of
+    every lower degree.  A single bucket is returned as it is, so an
+    equigenerated input, such as a power of an equigenerated ideal, builds
+    no index and costs no divisibility test; the last bucket is never
+    indexed.  Callers check that every candidate lies in the ideal's ring;
+    the sweep compares raw tuples, ranked by ``_compact`` when an entry
+    passes _DENSE_TOP.
     """
-    by_exps = {g.exps: g for g in gens}
-    buckets = {}
-    for exps in by_exps:
-        buckets.setdefault(sum(exps), []).append(exps)
-    lower = []
+    by_key = dict(zip(map(_exps, gens), gens))
+    # ascending degree, then ascending exps: the buckets in sweep order
+    keys = sorted(by_key)
+    keys.sort(key=sum)
+    degrees = list(map(sum, keys))
+    if not keys or degrees[0] == degrees[-1]:
+        return tuple(map(by_key.__getitem__, reversed(keys)))
+    # a degree bounds every entry, so only a large degree needs the scan
+    if degrees[-1] > _DENSE_TOP and max(chain.from_iterable(keys)) > _DENSE_TOP:
+        # ranks keep lex order, so keys stay sorted within each bucket
+        ranked, = _compact(keys)
+        by_key = dict(zip(ranked, map(by_key.__getitem__, keys)))
+        keys = ranked
     kept = []
-    for degree in sorted(buckets):
-        bucket = sorted(buckets[degree])
-        if lower:
-            bucket = [e for e in bucket if not _has_divisor(lower, e)]
-        lower.extend(bucket)
-        kept.append(bucket)
-    return tuple(by_exps[e] for bucket in reversed(kept) for e in reversed(bucket))
+    index = None
+    start = 0
+    while start < len(keys):
+        end = bisect_right(degrees, degrees[start], start)
+        bucket = keys[start:end]
+        if index is None:
+            index = _DivisorIndex(len(bucket[0]), bucket)
+        else:
+            bucket = list(filterfalse(index.has_divisor, bucket))
+            if end < len(keys):
+                index.add(bucket)
+        kept += bucket
+        start = end
+    return tuple(map(by_key.__getitem__, reversed(kept)))
 
 
 class MonomialIdeal:
@@ -60,33 +174,17 @@ class MonomialIdeal:
         self.gens = _reduce_to_antichain(gens)
 
     @classmethod
-    def zero(cls, n):
-        return cls(n)
-
-    @classmethod
-    def unit(cls, n):
-        return cls(n, (Monomial.unit(n),))
-
-    @classmethod
     def _from_minimal(cls, n, gens):
         # trusted path: caller guarantees gens are distinct, of length n+1 and
         # pairwise indivisible, so the antichain sweep can be skipped.  Two
         # stable sorts on C-compared keys give descending graded-lex without
         # a Python-level Monomial.__lt__ call per comparison.
-        ordered = sorted(gens, key=attrgetter("exps"), reverse=True)
+        ordered = sorted(gens, key=_exps, reverse=True)
         ordered.sort(key=attrgetter("degree"), reverse=True)
         self = object.__new__(cls)
         self.n = n
         self.gens = tuple(ordered)
         return self
-
-    @property
-    def is_zero(self):
-        return not self.gens
-
-    @property
-    def is_unit(self):
-        return len(self.gens) == 1 and self.gens[0].degree == 0
 
     def _check_same_ring(self, other):
         if self.n != other.n:
@@ -97,7 +195,8 @@ class MonomialIdeal:
         if mono.n != self.n:
             raise DimensionError(
                 f"monomial with ambient n={mono.n}, ideal has n={self.n}")
-        return _has_divisor((g.exps for g in self.gens), mono.exps)
+        return next(_divisible(self.n + 1, [mono.exps],
+                               list(map(_exps, self.gens))))
 
     __contains__ = contains
 
@@ -107,7 +206,9 @@ class MonomialIdeal:
 
     def __mul__(self, other):
         self._check_same_ring(other)
-        return MonomialIdeal(self.n, (g * h for g in self.gens for h in other.gens))
+        theirs = list(map(_exps, other.gens))
+        products = {tuple(map(add, g.exps, h)) for g in self.gens for h in theirs}
+        return MonomialIdeal(self.n, map(Monomial._trusted, products))
 
     def __pow__(self, r):
         if isinstance(r, bool) or not isinstance(r, int) or r < 1:
@@ -126,16 +227,22 @@ class MonomialIdeal:
 
     def intersect(self, other):
         self._check_same_ring(other)
-        return MonomialIdeal(
-            self.n, (g.lcm(h) for g in self.gens for h in other.gens))
+        theirs = list(map(_exps, other.gens))
+        mine = list(map(_exps, self.gens))
+        # a generator of self that lies in other generates its own part of
+        # the intersection: its lcm with any generator of other is a multiple
+        inside = set(compress(mine, _divisible(self.n + 1, mine, theirs)))
+        lcms = {tuple(map(max, g, h))
+                for g in mine if g not in inside for h in theirs}
+        return MonomialIdeal(self.n, map(Monomial._trusted, inside | lcms))
 
     __and__ = intersect
 
     def __le__(self, other):
         """Containment self <= other: every generator of self lies in other."""
         self._check_same_ring(other)
-        theirs = [h.exps for h in other.gens]
-        return all(_has_divisor(theirs, g.exps) for g in self.gens)
+        return all(_divisible(self.n + 1, list(map(_exps, self.gens)),
+                              list(map(_exps, other.gens))))
 
     def __eq__(self, other):
         if not isinstance(other, MonomialIdeal):

@@ -35,8 +35,9 @@ class Monomial:
 
         ``exps`` must already be a tuple of at least 2 non-negative ints.
         Only package code whose tuple holds that by construction may call
-        this: ``__mul__`` and ``lcm`` (sums and maxima of two validated
-        exponent vectors, after the same-ring check) and ``symbolic_power``
+        this: ``__mul__`` and ``lcm``, and ``MonomialIdeal``'s product and
+        intersection (validated exponent vectors of one ring, or their sums
+        and maxima, after the same-ring check), and ``symbolic_power``
         (permutations of an orbit representative it built from a partition
         of m, so every entry lies in [0, m]).
         Input from users goes through ``__init__``, which validates it.

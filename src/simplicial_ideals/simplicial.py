@@ -65,15 +65,6 @@ class FacePrime:
             raise ParameterError(
                 f"variable index out of range 0..{self.n} in {self.variables}")
 
-    def ideal(self):
-        """The prime <x_i : i in variables>."""
-        gens = []
-        for i in self.variables:
-            exps = [0] * (self.n + 1)
-            exps[i] = 1
-            gens.append(Monomial(exps))
-        return MonomialIdeal._from_minimal(self.n, gens)
-
     def power_ideal(self, m):
         """m-th power: generated by all degree-m monomials in the c variables."""
         _require_power("m", m)

@@ -7,7 +7,7 @@ the package's fast paths is meaningful evidence.
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
-from simplicial_ideals import Monomial
+from simplicial_ideals import Monomial, MonomialIdeal
 
 
 def brute_symbolic_member(n, c, m, mono):
@@ -95,6 +95,17 @@ def brute_skeleton_gens(n, c):
             vec[i] = 1
         gens.append(Monomial(vec))
     return gens
+
+
+def face_prime_ideal(prime):
+    """The face prime <x_i : i in prime.variables>, one variable per
+    generator, canonicalized by the general constructor."""
+    gens = []
+    for i in prime.variables:
+        vec = [0] * (prime.n + 1)
+        vec[i] = 1
+        gens.append(Monomial(vec))
+    return MonomialIdeal(prime.n, gens)
 
 
 def brute_power_gens(n, c, r):

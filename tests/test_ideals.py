@@ -67,17 +67,88 @@ def test_reduction_matches_brute_minimalize(case):
     assert (mono in ideal) == expected
 
 
+HUGE = 2 ** 40  # far past any value axis the divisor index keeps dense
+
+
+@st.composite
+def ideal_pair_case(draw):
+    """Two ideals of one ring n in 1..4, each zero, unit or mixed-degree
+    with duplicates, and a monomial whose entries may pass every generator's.
+    Half the cases mix in exponents near HUGE."""
+    n = draw(st.integers(1, 4))
+    big = draw(st.booleans())
+    if big:
+        entries = st.sampled_from([0, 1, 2, 3, HUGE, HUGE + 1])
+        query_entries = st.sampled_from([0, 1, 3, 6, HUGE, HUGE + 2])
+    else:
+        entries, query_entries = st.integers(0, 3), st.integers(0, 6)
+    monos = st.lists(entries, min_size=n + 1, max_size=n + 1).map(Monomial)
+
+    def gens():
+        kind = draw(st.sampled_from(["zero", "unit", "mixed"]))
+        if kind == "zero":
+            return []
+        if kind == "unit":
+            return [Monomial.unit(n)]
+        drawn = draw(st.lists(monos, min_size=1, max_size=8))
+        return drawn + draw(st.lists(st.sampled_from(drawn), max_size=3))
+
+    query = draw(st.lists(query_entries, min_size=n + 1, max_size=n + 1))
+    return n, gens(), gens(), Monomial(query)
+
+
+@given(ideal_pair_case())
+@example((2, [], [Monomial((1, 0, 0))], Monomial((0, 0, 0))))
+@example((2, [Monomial((1, 0, 0))], [], Monomial((5, 5, 5))))
+@example((1, [Monomial((0, 1))], [Monomial((1, 0)), Monomial((0, 2))],
+          Monomial((6, 0))))
+@example((2, [Monomial((3, 0, 0))], [Monomial((2, 0, 0)), Monomial((0, 1, 1))],
+          Monomial((6, 0, 0))))
+@example((1, [Monomial((HUGE, 0)), Monomial((0, HUGE + 1))],
+          [Monomial((HUGE, 1)), Monomial((1, 1))], Monomial((HUGE + 2, 1))))
+@settings(max_examples=300)
+def test_index_matches_pairwise_routes(case):
+    """Product, intersection, containment and membership against routes
+    built from Monomial.__mul__, lcm and divides with _minimalize."""
+    n, gens_i, gens_j, mono = case
+    I, J = MonomialIdeal(n, gens_i), MonomialIdeal(n, gens_j)
+    mins_i, mins_j = _minimalize(gens_i), _minimalize(gens_j)
+    assert list((I * J).gens) == _minimalize(
+        {a * b for a in mins_i for b in mins_j})[::-1]
+    assert list((I & J).gens) == _minimalize(
+        {a.lcm(b) for a in mins_i for b in mins_j})[::-1]
+    assert (I <= J) == all(any(b.divides(a) for b in mins_j) for a in mins_i)
+    assert I.contains(mono) == any(a.divides(mono) for a in mins_i)
+
+
 def test_zero_and_unit():
-    zero = MonomialIdeal.zero(2)
-    one = MonomialIdeal.unit(2)
+    zero = MonomialIdeal(2)
+    one = MonomialIdeal(2, [Monomial.unit(2)])
     ideal = ideal_of(2, (1, 1, 0))
-    assert zero.is_zero and not zero.is_unit
-    assert one.is_unit and not one.is_zero
+    assert zero.gens == () and one.gens == (Monomial.unit(2),)
     assert ideal + zero == ideal
     assert ideal * zero == zero
     assert ideal + one == one
     assert ideal * one == ideal
     assert zero <= ideal <= one
+
+
+def test_containment_against_the_zero_ideal():
+    zero = MonomialIdeal(2)
+    ideal = ideal_of(2, (1, 1, 0))
+    assert zero <= zero
+    assert zero <= ideal
+    assert not ideal <= zero
+    assert not MonomialIdeal(2, [Monomial.unit(2)]) <= zero
+    assert ideal & zero == zero
+    assert Monomial((0, 0, 0)) not in zero
+
+
+def test_reduction_through_an_emptied_bucket():
+    # x0^2 falls to x0, so the degree-2 bucket adds nothing to the divisor
+    # index before the degree-3 bucket is swept
+    ideal = ideal_of(2, (1, 0, 0), (2, 0, 0), (1, 0, 2), (0, 3, 0))
+    assert ideal.gens == (Monomial((0, 3, 0)), Monomial((1, 0, 0)))
 
 
 def test_pow_basics():
@@ -136,7 +207,7 @@ def test_le_means_generator_membership(I):
     bigger = I + ideal_of(2, (1, 0, 0))
     assert I <= bigger
     assert bigger >= I
-    if not I.is_zero:
+    if I.gens:
         assert not bigger <= I or bigger == I
 
 

@@ -14,6 +14,7 @@ from _brute import (
     brute_symbolic_gens,
     brute_symbolic_member,
     brute_symbolic_representatives,
+    face_prime_ideal,
 )
 from simplicial_ideals import (
     BudgetExceededError,
@@ -84,7 +85,7 @@ def test_face_primes(n, c):
     assert len({p.variables for p in primes}) == len(primes)
     for p in primes:
         assert len(p.variables) == c
-        ideal = p.ideal()
+        ideal = face_prime_ideal(p)
         assert len(ideal.gens) == c
         assert all(g.degree == 1 for g in ideal.gens)
 
@@ -94,13 +95,13 @@ def test_face_prime_power():
     cube = p.power_ideal(3)
     assert len(cube.gens) == 4  # degree-3 monomials in two variables
     assert all(g.degree == 3 and g.exps[1] == 0 for g in cube.gens)
-    assert cube == p.ideal() ** 3
+    assert cube == face_prime_ideal(p) ** 3
 
 
 @pytest.mark.parametrize("n,c", ALL_SPECS_3)
 def test_skeleton_is_intersection_of_face_primes(n, c):
     spec = SimplicialSpec(n, c)
-    primes = [p.ideal() for p in face_primes(spec)]
+    primes = [face_prime_ideal(p) for p in face_primes(spec)]
     assert intersect_all(primes) == simplicial_ideal(spec)
 
 
