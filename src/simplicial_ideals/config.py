@@ -9,8 +9,7 @@ or ``--config``), then built-in defaults.  The file format is flat
 import os
 from dataclasses import dataclass, replace
 
-from .errors import ParameterError
-from .simplicial import DEFAULT_MAX_CANDIDATES
+from .errors import DEFAULT_MAX_CANDIDATES, ParameterError
 
 ENV_PREFIX = "SIDEAL_"
 

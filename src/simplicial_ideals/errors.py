@@ -1,8 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one budget.
 
 The CLI maps these onto its exit-code contract (see cli.py): parameter,
 dimension and parse problems exit 2, exceeded budgets exit 3.
 """
+
+#: The default of every ``max_candidates`` budget: n <= 6, m <= 12 runs
+#: comfortably, and anything larger raises cleanly rather than stalls.
+DEFAULT_MAX_CANDIDATES = 2_000_000
 
 
 class DimensionError(ValueError):
@@ -22,3 +26,9 @@ class BudgetExceededError(RuntimeError):
 
     Raised instead of returning a partial (and therefore wrong) answer.
     """
+
+
+def budget_error(what, limit):
+    """The BudgetExceededError for ``what``, a phrase naming what was counted
+    and how many, past the budget ``limit``."""
+    return BudgetExceededError(f"{what}, more than max_candidates={limit}")

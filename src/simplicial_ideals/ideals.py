@@ -21,7 +21,7 @@ from bisect import bisect_right
 from itertools import accumulate, chain, compress, count, filterfalse, repeat
 from operator import add, attrgetter, getitem, lshift, or_
 
-from .errors import BudgetExceededError, DimensionError, ParameterError
+from .errors import DEFAULT_MAX_CANDIDATES, DimensionError, ParameterError, budget_error
 from .monomials import Monomial
 
 _exps = attrgetter("exps")
@@ -271,24 +271,23 @@ class MonomialIdeal:
         return f"MonomialIdeal(n={self.n}, <{body}>)"
 
 
-def intersect_all(ideals, max_gens=None):
+def intersect_all(ideals, max_candidates=None):
     """Intersection of a non-empty sequence of ideals in the same ring.
 
     Folds pairwise, canonicalizing after every fold so intermediate generator
-    sets stay reduced.  ``max_gens`` caps the pre-reduction candidate count of
-    any single fold (a BudgetExceededError is raised rather than grinding
-    through an oversized lcm table).
+    sets stay reduced.  A fold of ideals with g and h generators forms at
+    most g*h lcm candidates; BudgetExceededError is raised, before the fold,
+    when that passes ``max_candidates`` (None: DEFAULT_MAX_CANDIDATES).
     """
     ideals = list(ideals)
     if not ideals:
         raise ParameterError("intersect_all needs at least one ideal")
+    limit = DEFAULT_MAX_CANDIDATES if max_candidates is None else max_candidates
     acc = ideals[0]
     for other in ideals[1:]:
-        if max_gens is not None:
-            pairs = len(acc.gens) * len(other.gens)
-            if pairs > max_gens:
-                raise BudgetExceededError(
-                    f"intersection fold would enumerate {pairs} lcm candidates "
-                    f"(budget {max_gens})")
+        pairs = len(acc.gens) * len(other.gens)
+        if pairs > limit:
+            raise budget_error(f"an intersection fold forms {pairs} lcm pairs",
+                               limit)
         acc = acc.intersect(other)
     return acc

@@ -2,15 +2,16 @@
 
 A monomial in K[x_0, ..., x_n] is stored as its exponent vector, a tuple of
 n+1 non-negative ints (index i <-> variable x_i, so the ambient n is
-``len - 1``).  Exponents are Python ints, so overflow is impossible at any
-parameter size this package accepts.  Instances are immutable and hashable.
+``len - 1``).  Exponents are Python ints, so nothing overflows; a float or
+a string exponent raises TypeError rather than being truncated.  Instances
+are immutable and hashable.
 
 The total order used for all deterministic listings is graded lexicographic:
 compare by total degree first, then by the exponent tuple.
 """
 
 import re
-from operator import add
+from operator import add, index
 
 from .errors import DimensionError, MonomialParseError
 
@@ -21,7 +22,7 @@ class Monomial:
     __slots__ = ("exps",)
 
     def __init__(self, exps):
-        exps = tuple(int(e) for e in exps)
+        exps = tuple(map(index, exps))
         if len(exps) < 2:
             raise DimensionError(
                 f"monomial needs at least 2 variables, got length {len(exps)}")
@@ -35,11 +36,11 @@ class Monomial:
 
         ``exps`` must already be a tuple of at least 2 non-negative ints.
         Only package code whose tuple holds that by construction may call
-        this: ``__mul__`` and ``lcm``, and ``MonomialIdeal``'s product and
+        this: ``__mul__`` and ``lcm``, ``MonomialIdeal``'s product and
         intersection (validated exponent vectors of one ring, or their sums
-        and maxima, after the same-ring check), and ``symbolic_power``
-        (permutations of an orbit representative it built from a partition
-        of m, so every entry lies in [0, m]).
+        and maxima, after the same-ring check), and
+        ``simplicial._orbit_ideal`` (permutations of orbit representatives
+        that the builders assemble from non-negative ints, n+1 >= 2 of them).
         Input from users goes through ``__init__``, which validates it.
         """
         self = object.__new__(cls)

@@ -11,24 +11,22 @@ of degree n+2-c.  This module builds them and computes
 * ordinary powers, by the closed form for their minimal generators
   (total degree exactly (n-c+2)r with every exponent <= r).
 
-Everything is exact integer combinatorics.  Each builder counts its
-generators in closed form before building one, and raises
-BudgetExceededError past its ``max_candidates`` budget instead of starting
-an enumeration it cannot finish.
+Everything is exact integer combinatorics.  I(n,c), its ordinary powers and
+its symbolic powers are invariant under permuting the n+1 coordinates, so
+each builder names only the weakly decreasing minimal generators, the orbit
+representatives, and ``_orbit_ideal`` does the rest: it sums the orbit sizes
+before building a generator, raises BudgetExceededError past the
+``max_candidates`` budget instead of starting an enumeration it cannot
+finish, and emits the permutations of each representative.
 """
 
 from dataclasses import dataclass
 from itertools import combinations, repeat
-from math import comb, factorial, prod
+from math import factorial, prod
 
-from .errors import BudgetExceededError, DimensionError, ParameterError
+from .errors import DEFAULT_MAX_CANDIDATES, DimensionError, ParameterError, budget_error
 from .ideals import MonomialIdeal, intersect_all
 from .monomials import Monomial
-
-#: Defaults sized so that n <= 6, m <= 12 runs comfortably; anything larger
-#: should raise cleanly rather than stall.
-DEFAULT_MAX_CANDIDATES = 2_000_000
-DEFAULT_MAX_INTERSECTION_GENS = 500_000
 
 
 @dataclass(frozen=True)
@@ -81,31 +79,15 @@ class FacePrime:
         return MonomialIdeal._from_minimal(self.n, gens)
 
 
-def _check_budget(ideal, count, max_candidates, bound=""):
-    """Raise BudgetExceededError when ``count`` generators of ``ideal`` pass
-    max_candidates (None: DEFAULT_MAX_CANDIDATES)."""
-    limit = DEFAULT_MAX_CANDIDATES if max_candidates is None else max_candidates
-    if count > limit:
-        raise BudgetExceededError(f"{ideal} has {bound}{count} generators, "
-                                  f"more than max_candidates={limit}")
-
-
 def simplicial_ideal(spec, max_candidates=None):
     """I(n,c): all squarefree monomials of degree n+2-c in x_0..x_n.
 
-    There are binomial(n+1, n+2-c) of them; BudgetExceededError is raised,
-    before any is built, when that passes ``max_candidates``.
+    They are the binomial(n+1, n+2-c) permutations of (1,)*(n+2-c) +
+    (0,)*(c-1); _orbit_ideal counts them against ``max_candidates``.
     """
     n, c = spec.n, spec.c
-    deg = n + 2 - c
-    _check_budget(f"I({n},{c})", comb(n + 1, deg), max_candidates)
-    gens = []
-    for support in combinations(range(n + 1), deg):
-        exps = [0] * (n + 1)
-        for i in support:
-            exps[i] = 1
-        gens.append(Monomial(exps))
-    return MonomialIdeal._from_minimal(n, gens)
+    return _orbit_ideal(n, [(1,) * (n + 2 - c) + (0,) * (c - 1)],
+                        max_candidates, f"I({n},{c})")
 
 
 def face_primes(spec):
@@ -154,15 +136,31 @@ def symbolic_member_detail(spec, m, a):
 
 def _partitions(total, parts, cap):
     """Weakly decreasing tuples of ``parts`` entries in [0, cap] summing to
-    ``total``, in descending lexicographic order."""
-    if parts == 1:
-        if total <= cap:
-            yield (total,)
+    ``total``, in descending lexicographic order.  The successor of a tuple
+    lowers by one the rightmost entry whose followers can take the freed
+    unit without passing it, then refills those followers greedily."""
+    if total > parts * cap:
         return
-    # the first entry is the largest, so it is at least ceil(total / parts)
-    for first in range(min(cap, total), -(-total // parts) - 1, -1):
-        for rest in _partitions(total - first, parts - 1, first):
-            yield (first,) + rest
+    vec = [0] * parts
+    start, top, rest = 0, cap, total
+    while True:
+        # vec[start:] gets ``rest``: entries of ``top``, the remainder, zeros
+        for j in range(start, parts):
+            vec[j] = e = top if rest > top else rest
+            rest -= e
+        yield tuple(vec)
+        i = parts - 1
+        rest = vec[i]  # at each test below, rest == sum(vec[i + 1:])
+        while True:
+            i -= 1
+            if i < 0:
+                return
+            top = vec[i] - 1
+            if rest < top * (parts - 1 - i):
+                break
+            rest += vec[i]
+        vec[i] = top
+        start, rest = i + 1, rest + 1
 
 
 def _distinct_permutations(values):
@@ -181,6 +179,30 @@ def _distinct_permutations(values):
             j -= 1
         seq[i], seq[j] = seq[j], seq[i]
         seq[i + 1:] = reversed(seq[i + 1:])
+
+
+def _orbit_ideal(n, reps, max_candidates, name):
+    """The ideal ``name`` minimally generated by the coordinate permutations
+    of ``reps``, weakly decreasing tuples of n+1 ints whose orbits together
+    form an antichain.  The orbit sizes (n+1)! / prod(multiplicity!) are
+    summed first, and BudgetExceededError is raised, before any generator is
+    built, as soon as the sum passes ``max_candidates`` (None:
+    DEFAULT_MAX_CANDIDATES); its count reads "at least" when representatives
+    were left uncounted."""
+    limit = DEFAULT_MAX_CANDIDATES if max_candidates is None else max_candidates
+    whole = factorial(n + 1)
+    count = 0
+    kept = []
+    reps = iter(reps)
+    for rep in reps:
+        count += whole // prod(map(factorial, map(rep.count, set(rep))))
+        if count > limit:
+            bound = "" if next(reps, None) is None else "at least "
+            raise budget_error(f"{name} has {bound}{count} generators", limit)
+        kept.append(rep)
+    gens = [Monomial._trusted(perm)
+            for rep in kept for perm in _distinct_permutations(rep)]
+    return MonomialIdeal._from_minimal(n, gens)
 
 
 def symbolic_power(spec, m, max_candidates=None):
@@ -205,56 +227,25 @@ def symbolic_power(spec, m, max_candidates=None):
 
     So the representatives are (t1,)*(n-c+1) + t, one for each partition
     t = (t1 >= ... >= tc >= 0) of m into at most c parts, and no generator
-    has an exponent above m.  A representative's orbit has the multinomial
-    (n+1)! / prod(multiplicity!) generators.  These are summed over the
-    partitions before any generator is built, and BudgetExceededError is
-    raised as soon as the sum passes ``max_candidates``.
+    has an exponent above m.  _orbit_ideal counts their orbits against
+    ``max_candidates`` and builds them.
     """
     _require_power("m", m)
     n, c = spec.n, spec.c
-    ideal = f"I^({m})({n},{c})"
-    count = 0
-    reps = []
-    for tail in _partitions(m, c, m):
-        rep = (tail[0],) * (n - c + 1) + tail
-        count += factorial(n + 1) // prod(map(factorial, map(rep.count, set(rep))))
-        _check_budget(ideal, count, max_candidates, "at least ")
-        reps.append(rep)
-    gens = [Monomial._trusted(perm)
-            for rep in reps for perm in _distinct_permutations(rep)]
-    return MonomialIdeal._from_minimal(n, gens)
+    reps = ((t[0],) * (n - c + 1) + t for t in _partitions(m, c, m))
+    return _orbit_ideal(n, reps, max_candidates, f"I^({m})({n},{c})")
 
 
-def symbolic_power_oracle(spec, m, max_gens=None):
+def symbolic_power_oracle(spec, m, max_candidates=None):
     """Symbolic power via its definition for a radical monomial ideal:
     the intersection over all face primes of their m-th ordinary powers.
 
-    Independent of symbolic_power; the two must agree.
+    Independent of symbolic_power; the two must agree.  ``max_candidates``
+    bounds each fold's lcm pairs (see intersect_all).
     """
     _require_power("m", m)
-    budget = DEFAULT_MAX_INTERSECTION_GENS if max_gens is None else max_gens
     powers = [p.power_ideal(m) for p in face_primes(spec)]
-    return intersect_all(powers, max_gens=budget)
-
-
-def _bounded_compositions(total, parts, cap):
-    """Vectors of the given number of parts, entries in [0, cap], summing to total."""
-    if parts == 1:
-        if 0 <= total <= cap:
-            yield (total,)
-        return
-    lo = max(0, total - (parts - 1) * cap)
-    for first in range(min(cap, total), lo - 1, -1):
-        for rest in _bounded_compositions(total - first, parts - 1, cap):
-            yield (first,) + rest
-
-
-def _bounded_composition_count(total, parts, cap):
-    """How many vectors _bounded_compositions yields: inclusion-exclusion
-    over the j entries forced above cap."""
-    return sum((-1) ** j * comb(parts, j)
-               * comb(total - j * (cap + 1) + parts - 1, parts - 1)
-               for j in range(min(parts, total // (cap + 1)) + 1))
+    return intersect_all(powers, max_candidates)
 
 
 def ordinary_power_min_gens(spec, r, max_candidates=None):
@@ -263,16 +254,13 @@ def ordinary_power_min_gens(spec, r, max_candidates=None):
     They are exactly the exponent vectors of total degree (n-c+2)*r with
     every entry <= r; equal total degree makes the set an antichain, so no
     reduction step is needed.  Must coincide with simplicial_ideal(spec)**r.
-    BudgetExceededError is raised, before any generator is built, when
-    their number passes ``max_candidates``.
+    Their representatives are the partitions of (n-c+2)*r into n+1 parts of
+    at most r, counted and built by _orbit_ideal.
     """
     _require_power("r", r)
     n, c = spec.n, spec.c
-    target = (n - c + 2) * r
-    _check_budget(f"I({n},{c})^{r}",
-                  _bounded_composition_count(target, n + 1, r), max_candidates)
-    gens = [Monomial(vec) for vec in _bounded_compositions(target, n + 1, r)]
-    return MonomialIdeal._from_minimal(n, gens)
+    return _orbit_ideal(n, _partitions((n - c + 2) * r, n + 1, r),
+                        max_candidates, f"I({n},{c})^{r}")
 
 
 def ordinary_member(spec, r, a):

@@ -260,8 +260,9 @@ def test_intersect_all_matches_pairwise():
 def test_intersect_all_budget():
     # antichain generators so nothing reduces away before the fold
     staircase = ideal_of(2, *[(i, 4 - i, 0) for i in range(5)])
-    with pytest.raises(BudgetExceededError):
-        intersect_all([staircase, staircase], max_gens=2)
+    with pytest.raises(BudgetExceededError,
+                       match="forms 25 lcm pairs, more than max_candidates=2$"):
+        intersect_all([staircase, staircase], max_candidates=2)
     with pytest.raises(ParameterError):
         intersect_all([])
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from simplicial_ideals import DimensionError, Monomial, MonomialParseError
+from simplicial_ideals import DimensionError, Monomial, MonomialIdeal, MonomialParseError
 
 exp_vectors = st.lists(st.integers(min_value=0, max_value=9),
                        min_size=2, max_size=6).map(tuple)
@@ -32,6 +32,15 @@ def test_constructor_rejects_bad_input():
         Monomial((3,))
     with pytest.raises(ValueError):
         Monomial((1, -1))
+
+
+def test_constructor_rejects_non_integer_exponents():
+    # int() would truncate 1.7 to 1 and parse '3'; neither is an exponent
+    for bad in ([1.7, 2], ['3', 4], [2.0, 1]):
+        with pytest.raises(TypeError):
+            Monomial(bad)
+        with pytest.raises(TypeError):
+            MonomialIdeal.from_lists(1, [bad])
 
 
 def test_parse_examples():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from _brute import (
     _minimalize,
+    _sorted_vectors,
     brute_ordinary_member,
     brute_power_gens,
     brute_skeleton_gens,
@@ -24,6 +25,7 @@ from simplicial_ideals import (
     MonomialIdeal,
     ParameterError,
     SimplicialSpec,
+    containment_oracle,
     face_primes,
     intersect_all,
     ordinary_member,
@@ -34,6 +36,7 @@ from simplicial_ideals import (
     symbolic_power_oracle,
 )
 from simplicial_ideals.simplicial import (
+    _partitions,
     ordinary_member_detail,
     symbolic_member_detail,
 )
@@ -269,10 +272,32 @@ def test_budget_boundary_is_exact(n):
                 build(size - 1)
 
 
+@pytest.mark.parametrize("parts", range(1, 8))
+def test_partitions_match_sorted_scan(parts):
+    # every cap from 0 and every total from 0, infeasible ones included,
+    # in the scan's (descending lexicographic) order
+    for cap in range(7):
+        scan = list(_sorted_vectors(parts, cap))
+        for total in range(parts * cap + 2):
+            expected = [v for v in scan if sum(v) == total]
+            assert list(_partitions(total, parts, cap)) == expected
+
+
+def test_long_listings_need_no_recursion():
+    # representatives of over a thousand entries, built without recursion
+    assert ordinary_power_min_gens(SimplicialSpec(1200, 1), 3).gens == (
+        Monomial((3,) * 1201),)
+    for build in (lambda: symbolic_power(SimplicialSpec(1200, 1200), 2),
+                  lambda: symbolic_power(SimplicialSpec(1500, 1500), 3),
+                  lambda: containment_oracle(1200, 1200, 2, 1)):
+        with pytest.raises(BudgetExceededError):
+            build()
+
+
 def test_budgets_raise_instead_of_truncating():
     with pytest.raises(BudgetExceededError):
         symbolic_power(SimplicialSpec(4, 2), 5, max_candidates=10)
     with pytest.raises(BudgetExceededError):
         symbolic_power(SimplicialSpec(8, 4), 8, max_candidates=100)
-    with pytest.raises(BudgetExceededError):
-        symbolic_power_oracle(SimplicialSpec(4, 2), 4, max_gens=3)
+    with pytest.raises(BudgetExceededError, match="max_candidates=3$"):
+        symbolic_power_oracle(SimplicialSpec(4, 2), 4, max_candidates=3)

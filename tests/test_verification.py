@@ -105,4 +105,4 @@ def test_summary_lines_hide_times_by_default():
 
 def test_default_bounds_match_documented_defaults():
     assert DEFAULT_BOUNDS == VerificationBounds()
-    assert DEFAULT_BOUNDS.oracle_n, DEFAULT_BOUNDS.oracle_mr == (4, 6)
+    assert (DEFAULT_BOUNDS.oracle_n, DEFAULT_BOUNDS.oracle_mr) == (4, 6)
