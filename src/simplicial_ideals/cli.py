@@ -16,7 +16,7 @@ import sys
 from .config import load_config
 from .containment import check_containment, check_symbolic_containment, resurgence_report
 from .errors import (BudgetExceededError, DimensionError, MonomialParseError,
-                     ParameterError, budget_error)
+                     ParameterError)
 from .monomials import Monomial
 from .simplicial import (
     SimplicialSpec,
@@ -143,18 +143,9 @@ def _cmd_containment_sym(args, config):
 
 
 def _cmd_resurgence(args, config):
-    # the box sweep is one pass over m, and each witness is one pair
-    box = tuple(args.box) if args.box else None
-    if box and box[0] > config.max_candidates:
-        raise budget_error(f"box M={box[0]} sweeps {box[0]} values of m",
-                           config.max_candidates)
-    if args.witnesses < 0:
-        raise ParameterError(f"--witnesses must be >= 0, got {args.witnesses}")
-    if args.witnesses > config.max_candidates:
-        raise budget_error(f"--witnesses {args.witnesses} lists "
-                           f"{args.witnesses} pairs", config.max_candidates)
     report = resurgence_report(args.n, args.c, witness_count=args.witnesses,
-                               box=box)
+                               box=args.box,
+                               max_candidates=config.max_candidates)
     if config.format == "json":
         payload = {
             "n": report.n, "c": report.c, "rho": _frac_text(report.rho),

@@ -91,8 +91,8 @@ def _env_settings(environ):
 def load_config(config_path=None, overrides=None, environ=None):
     """Resolve a CliConfig from all sources.
 
-    overrides holds already-typed values from parsed flags; keys mapped to
-    None are treated as unset.
+    overrides holds values from parsed flags, checked as file values are;
+    keys mapped to None are treated as unset.
     """
     if environ is None:
         environ = os.environ
@@ -102,14 +102,6 @@ def load_config(config_path=None, overrides=None, environ=None):
         config = replace(config, **parse_config_file(path))
     config = replace(config, **_env_settings(environ))
     if overrides:
-        live = {k: v for k, v in overrides.items() if v is not None}
-        unknown = set(live) - _ALL_FIELDS
-        if unknown:
-            raise ParameterError(f"unknown config overrides: {sorted(unknown)}")
-        config = replace(config, **live)
-    for key in _INT_FIELDS:
-        if getattr(config, key) <= 0:
-            raise ParameterError(f"config key {key}: must be positive")
-    if config.format not in ("text", "json"):
-        raise ParameterError(f"format must be text or json, got {config.format!r}")
+        config = replace(config, **{k: _coerce(k, v) for k, v in overrides.items()
+                                    if v is not None})
     return config

@@ -22,7 +22,7 @@ finish, and emits the permutations of each representative.
 
 from dataclasses import dataclass
 from itertools import combinations, repeat
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from .errors import DEFAULT_MAX_CANDIDATES, DimensionError, ParameterError, budget_error
 from .ideals import MonomialIdeal, intersect_all
@@ -240,10 +240,19 @@ def symbolic_power_oracle(spec, m, max_candidates=None):
     """Symbolic power via its definition for a radical monomial ideal:
     the intersection over all face primes of their m-th ordinary powers.
 
-    Independent of symbolic_power; the two must agree.  ``max_candidates``
-    bounds each fold's lcm pairs (see intersect_all).
+    Independent of symbolic_power; the two must agree.  Before anything is
+    built, the binomial(n+1, c) * binomial(m+c-1, c-1) generators of the
+    face-prime powers are counted against ``max_candidates`` (None:
+    DEFAULT_MAX_CANDIDATES), which also bounds each fold's lcm pairs (see
+    intersect_all).
     """
     _require_power("m", m)
+    n, c = spec.n, spec.c
+    limit = DEFAULT_MAX_CANDIDATES if max_candidates is None else max_candidates
+    count = comb(n + 1, c) * comb(m + c - 1, c - 1)
+    if count > limit:
+        raise budget_error(f"the face-prime powers of I^({m})({n},{c}) have "
+                           f"{count} generators", limit)
     powers = [p.power_ideal(m) for p in face_primes(spec)]
     return intersect_all(powers, max_candidates)
 

@@ -89,9 +89,12 @@ def test_precedence_flags_env_file(tmp_path):
 
 
 def test_override_validation():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="must be positive, got -1$"):
         load_config(environ={}, overrides={"max_candidates": -1})
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="unknown config key 'no_such_key'"):
         load_config(environ={}, overrides={"no_such_key": 1})
+    with pytest.raises(ParameterError, match="expected text or json"):
+        load_config(environ={}, overrides={"format": "xml"})
+    assert load_config(environ={}, overrides={"deep": True}).deep
     # None means unset, not an override
     assert load_config(environ={}, overrides={"format": None}).format == "text"

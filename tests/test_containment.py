@@ -1,9 +1,11 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from _brute import brute_resurgence_sup, brute_symbolic_gens
 from simplicial_ideals import (
+    BudgetExceededError,
     Monomial,
     ParameterError,
     SimplicialSpec,
@@ -201,6 +203,25 @@ def test_resurgence_report():
     assert report.empirical_argmax == (10, 8)
     bare = resurgence_report(3, 1)
     assert bare.rho == 1 and bare.witnesses == [] and bare.box is None
+
+
+def test_resurgence_report_budget():
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError,
+                       match="^--witnesses 100000000 lists 100000000 pairs, "
+                             "more than max_candidates=2000000$"):
+        resurgence_report(2, 2, witness_count=10**8)
+    assert time.perf_counter() - start < 1
+    with pytest.raises(BudgetExceededError, match="^box M=11 sweeps 11 "):
+        resurgence_report(2, 2, box=(11, 5), max_candidates=10)
+    with pytest.raises(ParameterError, match="must be >= 0, got -1"):
+        resurgence_report(2, 2, witness_count=-1)
+    # the counts are checked first, before (n, c)
+    with pytest.raises(BudgetExceededError):
+        resurgence_report(2, 5, witness_count=11, max_candidates=10)
+    at_budget = resurgence_report(2, 2, witness_count=10, box=(10, 10),
+                                  max_candidates=10)
+    assert len(at_budget.witnesses) == 10 and at_budget.box == (10, 10)
 
 
 def test_parameter_validation():

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 from math import comb
 
@@ -301,3 +302,20 @@ def test_budgets_raise_instead_of_truncating():
         symbolic_power(SimplicialSpec(8, 4), 8, max_candidates=100)
     with pytest.raises(BudgetExceededError, match="max_candidates=3$"):
         symbolic_power_oracle(SimplicialSpec(4, 2), 4, max_candidates=3)
+
+
+def test_oracle_counts_face_prime_powers_before_building():
+    # binomial(31, 15) face primes, each power with binomial(16, 14) gens
+    for budget in (100, None):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError,
+                           match=r"I\^\(2\)\(30,15\) have 36064823400 "):
+            symbolic_power_oracle(SimplicialSpec(30, 15), 2,
+                                  max_candidates=budget)
+        assert time.perf_counter() - start < 1
+    # c = 1: five principal primes, one generator each, and one-pair folds
+    spec = SimplicialSpec(4, 1)
+    assert (symbolic_power_oracle(spec, 3, max_candidates=5)
+            == symbolic_power(spec, 3))
+    with pytest.raises(BudgetExceededError, match="have 5 generators"):
+        symbolic_power_oracle(spec, 3, max_candidates=4)

@@ -1,6 +1,6 @@
 import pytest
 
-from simplicial_ideals import ParameterError
+from simplicial_ideals import ParameterError, verification
 from simplicial_ideals.verification import (
     DEFAULT_BOUNDS,
     SCOPES,
@@ -15,9 +15,12 @@ from simplicial_ideals.verification import (
 
 def test_registry_shape():
     all_claims = claims_in_scope("all")
-    ids = [cid for cid, _, _, _ in all_claims]
+    ids = [cid for cid, _, _, _, _ in all_claims]
     assert len(ids) == len(set(ids))
     assert all("/" in cid for cid in ids)
+    for _, _, _, params_range, runner in all_claims:
+        params_range.format(**vars(DEFAULT_BOUNDS))
+        assert callable(runner)
     per_scope = sum(len(claims_in_scope(s)) for s in SCOPES if s != "all")
     assert per_scope == len(all_claims)
     with pytest.raises(ParameterError):
@@ -79,6 +82,44 @@ def test_custom_bounds_are_honored():
     results = run_verification("triangle", bounds=tiny)
     by_id = {res.claim_id: res for res in results}
     assert by_id["triangle/symbolic-generator-orbits"].params_range == "m <= 2"
+
+
+# the claims that one runner serves for n = 2 and n = 3, and the codim-2
+# claim that shares the decomposition predicate, with the first
+# counterexample each must report when I^(2)(n,c) is wrongly built as I^(3)
+SHARED_RUNNER_FAILURES = {
+    "triangle/symbolic-generator-orbits": {"m": 2},
+    "triangle/even-symbolic-power-factors": {"m": 2},
+    "triangle/odd-symbolic-power-factors": {"m": 1},
+    "triangle/second-symbolic-decomposition": {},
+    "triangle/principal-complete-intersection": {"k": 2},
+    "tetrahedron/edge-symbolic-generator-orbits": {"m": 2},
+    "tetrahedron/even-symbolic-power-factors": {"m": 2},
+    "tetrahedron/odd-symbolic-power-factors": {"m": 1},
+    "tetrahedron/second-symbolic-decomposition": {},
+    "tetrahedron/principal-complete-intersection": {"k": 2},
+    "general/second-symbolic-decomposition-codim2": {"n": 2},
+}
+
+
+def test_shared_runners_report_failures(monkeypatch):
+    passing = {res.claim_id: res for res in run_verification("all")}
+    real = verification.symbolic_power
+
+    def wrong_second_power(spec, m, max_candidates=None):
+        return real(spec, 3 if m == 2 else m, max_candidates)
+
+    monkeypatch.setattr(verification, "symbolic_power", wrong_second_power)
+    failing = {res.claim_id: res for res in run_verification("all")}
+    for claim_id, counterexample in SHARED_RUNNER_FAILURES.items():
+        assert passing[claim_id].status == "pass", claim_id
+        assert failing[claim_id].status == "fail", claim_id
+        assert failing[claim_id].counterexample == counterexample, claim_id
+        assert (failing[claim_id].params_range
+                == passing[claim_id].params_range), claim_id
+    lines = summary_lines([failing["triangle/odd-symbolic-power-factors"]])
+    assert lines[0] == ("FAIL  triangle/odd-symbolic-power-factors  "
+                        "[m <= 4]  counterexample: {'m': 1}")
 
 
 def test_failure_rendering():
