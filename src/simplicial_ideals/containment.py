@@ -215,15 +215,15 @@ def resurgence_report(n, c, witness_count=0, box=None, max_candidates=None):
     and, given box = (M, R), the empirical sup over that box.  The box sweep
     is one pass over M values of m and each witness is one pair; both counts
     are checked against ``max_candidates`` (None: DEFAULT_MAX_CANDIDATES)
-    before anything is computed.  The messages name the CLI flags.
+    before anything is computed.  The messages name these parameters.
     """
     limit = DEFAULT_MAX_CANDIDATES if max_candidates is None else max_candidates
     if box and box[0] > limit:
         raise budget_error(f"box M={box[0]} sweeps {box[0]} values of m", limit)
     if witness_count < 0:
-        raise ParameterError(f"--witnesses must be >= 0, got {witness_count}")
+        raise ParameterError(f"witness_count must be >= 0, got {witness_count}")
     if witness_count > limit:
-        raise budget_error(f"--witnesses {witness_count} lists "
+        raise budget_error(f"witness_count={witness_count} lists "
                            f"{witness_count} pairs", limit)
     rho = resurgence(n, c)
     witnesses = []

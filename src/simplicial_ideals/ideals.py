@@ -6,6 +6,16 @@ order so that equal ideals always serialize identically.  The empty generator
 set is the zero ideal; the set {1} is the unit ideal.  All operations return
 new canonical ideals.
 
+Sum, product and intersection work on raw exponent tuples from start to end:
+they form their candidates column-wise as tuples, ``_reduce_to_antichain``
+takes tuples and returns the minimal ones, and ``_from_candidates`` wraps
+only those in ``Monomial``.  The public constructor validates its monomials
+and then takes the same path.  The intersection prunes both operands first:
+a generator g of either ideal that lies in the other is a minimal generator
+of the intersection, since whatever in the intersection divides g lies in
+g's own ideal, whose generators form an antichain.  So g is kept as it is,
+and it forms no lcm: each of its lcms is a multiple of it.
+
 Every divisibility test -- reduction to the antichain, containment ``<=``,
 ``contains`` and the intersection's pruning -- goes through one structure,
 ``_DivisorIndex``.  Tuple k of an index owns bit k.  For each coordinate i and
@@ -19,7 +29,7 @@ so the masks never grow with the size of an exponent.
 
 from bisect import bisect_right
 from itertools import accumulate, chain, compress, count, filterfalse, repeat
-from operator import add, attrgetter, getitem, lshift, or_
+from operator import add, attrgetter, getitem, lshift, not_, or_
 
 from .errors import DEFAULT_MAX_CANDIDATES, DimensionError, ParameterError, budget_error
 from .monomials import Monomial
@@ -112,35 +122,42 @@ def _divisible(width, queries, divisors):
     return map(_DivisorIndex(width, divisors).has_divisor, queries)
 
 
-def _reduce_to_antichain(gens):
-    """Drop every monomial divisible by another; return descending graded-lex.
+def _reduce_to_antichain(tuples):
+    """The minimal exponent tuples of ``tuples`` under divisibility, as a
+    list in descending graded-lex order.
 
-    Candidates are deduplicated on their exponent tuples and bucketed by total
-    degree.  A strict divisor has strictly smaller total degree (distinct
-    monomials of equal degree never divide one another), so the buckets are
-    swept in ascending degree and each candidate is tested only against the
-    generators kept from lower-degree buckets.  Those sit in a
-    ``_DivisorIndex`` that grows one bucket at a time; invariant: before a
-    bucket is filtered, the index holds exactly the minimal generators of
-    every lower degree.  A single bucket is returned as it is, so an
-    equigenerated input, such as a power of an equigenerated ideal, builds
-    no index and costs no divisibility test; the last bucket is never
-    indexed.  Callers check that every candidate lies in the ideal's ring;
-    the sweep compares raw tuples, ranked by ``_compact`` when an entry
-    passes _DENSE_TOP.
+    Tuples in, tuples out: callers form their candidates as raw exponent
+    tuples and wrap only the kept ones (``MonomialIdeal._from_candidates``).
+    The intersection's candidates include the generators it pruned; those
+    are minimal already (see the module docstring), and the sweep keeps
+    them as it keeps any tuple that no other divides.
+
+    Candidates are deduplicated and bucketed by total degree.  A strict
+    divisor has strictly smaller total degree (distinct tuples of equal
+    degree never divide one another), so the buckets are swept in ascending
+    degree and each candidate is tested only against the tuples kept from
+    lower-degree buckets.  Those sit in a ``_DivisorIndex`` that grows one
+    bucket at a time; invariant: before a bucket is filtered, the index
+    holds exactly the minimal tuples of every lower degree.  A single bucket
+    is returned as it is, so an equigenerated input, such as a power of an
+    equigenerated ideal, builds no index and costs no divisibility test; the
+    last bucket is never indexed.  Callers check that every tuple has the
+    ideal's length; the sweep compares tuples ranked by ``_compact`` when an
+    entry passes _DENSE_TOP and maps the kept ones back.
     """
-    by_key = dict(zip(map(_exps, gens), gens))
     # ascending degree, then ascending exps: the buckets in sweep order
-    keys = sorted(by_key)
+    keys = sorted(set(tuples))
     keys.sort(key=sum)
     degrees = list(map(sum, keys))
     if not keys or degrees[0] == degrees[-1]:
-        return tuple(map(by_key.__getitem__, reversed(keys)))
+        keys.reverse()
+        return keys
+    original = None
     # a degree bounds every entry, so only a large degree needs the scan
     if degrees[-1] > _DENSE_TOP and max(chain.from_iterable(keys)) > _DENSE_TOP:
         # ranks keep lex order, so keys stay sorted within each bucket
         ranked, = _compact(keys)
-        by_key = dict(zip(ranked, map(by_key.__getitem__, keys)))
+        original = dict(zip(ranked, keys))
         keys = ranked
     kept = []
     index = None
@@ -156,7 +173,8 @@ def _reduce_to_antichain(gens):
                 index.add(bucket)
         kept += bucket
         start = end
-    return tuple(map(by_key.__getitem__, reversed(kept)))
+    kept.reverse()
+    return kept if original is None else list(map(original.__getitem__, kept))
 
 
 class MonomialIdeal:
@@ -170,8 +188,19 @@ class MonomialIdeal:
             if len(g.exps) != n + 1:
                 raise DimensionError(
                     f"generator {g!r} has ambient n={g.n}, ideal has n={n}")
+        self._reduce(n, map(_exps, gens))
+
+    @classmethod
+    def _from_candidates(cls, n, tuples):
+        # trusted path: caller guarantees every tuple is a valid exponent
+        # vector of length n+1 (sums and maxima of generators of one ring)
+        self = object.__new__(cls)
+        self._reduce(n, tuples)
+        return self
+
+    def _reduce(self, n, tuples):
         self.n = n
-        self.gens = _reduce_to_antichain(gens)
+        self.gens = tuple(map(Monomial._trusted, _reduce_to_antichain(tuples)))
 
     @classmethod
     def _from_minimal(cls, n, gens):
@@ -202,13 +231,19 @@ class MonomialIdeal:
 
     def __add__(self, other):
         self._check_same_ring(other)
-        return MonomialIdeal(self.n, self.gens + other.gens)
+        return MonomialIdeal._from_candidates(
+            self.n, map(_exps, self.gens + other.gens))
 
     def __mul__(self, other):
         self._check_same_ring(other)
-        theirs = list(map(_exps, other.gens))
-        products = {tuple(map(add, g.exps, h)) for g in self.gens for h in theirs}
-        return MonomialIdeal(self.n, map(Monomial._trusted, products))
+        # column-wise: coordinate i of g*h is g_i + h_i for every h at once,
+        # and a zero g_i leaves the column as it is
+        columns = list(zip(*map(_exps, other.gens)))
+        products = set()
+        for g in map(_exps, self.gens):
+            products.update(zip(*[map(add, repeat(e), column) if e else column
+                                  for e, column in zip(g, columns)]))
+        return MonomialIdeal._from_candidates(self.n, products)
 
     def __pow__(self, r):
         if isinstance(r, bool) or not isinstance(r, int) or r < 1:
@@ -227,14 +262,30 @@ class MonomialIdeal:
 
     def intersect(self, other):
         self._check_same_ring(other)
-        theirs = list(map(_exps, other.gens))
+        width = self.n + 1
         mine = list(map(_exps, self.gens))
-        # a generator of self that lies in other generates its own part of
-        # the intersection: its lcm with any generator of other is a multiple
-        inside = set(compress(mine, _divisible(self.n + 1, mine, theirs)))
-        lcms = {tuple(map(max, g, h))
-                for g in mine if g not in inside for h in theirs}
-        return MonomialIdeal(self.n, map(Monomial._trusted, inside | lcms))
+        theirs = list(map(_exps, other.gens))
+        # a generator that lies in the other ideal is kept as a minimal
+        # generator (see the module docstring); only the pairs of generators
+        # outside each other's ideal form lcms
+        mine_in = list(_divisible(width, mine, theirs))
+        theirs_in = list(_divisible(width, theirs, mine))
+        candidates = set(compress(mine, mine_in))
+        candidates.update(compress(theirs, theirs_in))
+        outside = list(compress(theirs, map(not_, theirs_in)))
+        # column-wise: coordinate i of lcm(g, h) is max(g_i, h_i) for every
+        # h at once, and a g_i at or below (above) the whole column leaves
+        # the column (a run of g_i)
+        rows = len(outside)
+        columns = list(zip(*outside))
+        bounds = list(zip(map(min, columns), map(max, columns)))
+        for g in compress(mine, map(not_, mine_in)):
+            candidates.update(zip(*[
+                column if e <= low else
+                repeat(e, rows) if e >= high else
+                map(max, repeat(e), column)
+                for e, column, (low, high) in zip(g, columns, bounds)]))
+        return MonomialIdeal._from_candidates(self.n, candidates)
 
     __and__ = intersect
 

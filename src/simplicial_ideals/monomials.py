@@ -36,12 +36,15 @@ class Monomial:
 
         ``exps`` must already be a tuple of at least 2 non-negative ints.
         Only package code whose tuple holds that by construction may call
-        this: ``__mul__`` and ``lcm``, ``MonomialIdeal``'s product and
-        intersection (validated exponent vectors of one ring, or their sums
-        and maxima, after the same-ring check), and
+        this: ``__mul__`` and ``lcm``; ``MonomialIdeal._from_candidates``,
+        which wraps the minimal tuples of every ideal the constructor, sum,
+        product and intersection build (validated exponent vectors of one
+        ring, or their sums and maxima, after the same-ring check);
         ``simplicial._orbit_ideal`` (permutations of orbit representatives
-        that the builders assemble from non-negative ints, n+1 >= 2 of them).
-        Input from users goes through ``__init__``, which validates it.
+        that the builders assemble from non-negative ints, n+1 >= 2 of
+        them); and ``simplicial.FacePrime.power_ideal`` (compositions of m
+        placed in n+1 >= 2 coordinates).  Input from users goes through
+        ``__init__``, which validates it.
         """
         self = object.__new__(cls)
         self.exps = exps

@@ -55,6 +55,8 @@ class FacePrime:
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
+        if self.n < 1:
+            raise ParameterError(f"n={self.n} must be >= 1")
         if not self.variables:
             raise ParameterError("face prime needs at least one variable")
         if len(set(self.variables)) != len(self.variables):
@@ -75,7 +77,7 @@ class FacePrime:
             for var, bar in zip(self.variables, bars + (m + c - 1,)):
                 exps[var] = bar - prev - 1
                 prev = bar
-            gens.append(Monomial(exps))
+            gens.append(Monomial._trusted(tuple(exps)))
         return MonomialIdeal._from_minimal(self.n, gens)
 
 

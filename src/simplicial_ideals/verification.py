@@ -391,13 +391,17 @@ def _run_power_incl(bounds):
         "I^(m+1) inside I^(m) and I^(r+1) inside I^r for both power towers",
         "n <= {filtration_n}, m <= {filtration_m}")
 def _run_filtrations(bounds):
+    top = bounds.filtration_m
     for n, c in _specs_up_to(bounds.filtration_n):
         spec = SimplicialSpec(n, c)
         I = simplicial_ideal(spec)
-        for m in range(1, bounds.filtration_m + 1):
-            if not symbolic_power(spec, m + 1) <= symbolic_power(spec, m):
+        # each tower once, from exponent 1 to top + 1: index m holds power m+1
+        symbolic = [symbolic_power(spec, m) for m in range(1, top + 2)]
+        ordinary = [I ** r for r in range(1, top + 2)]
+        for m in range(1, top + 1):
+            if not symbolic[m] <= symbolic[m - 1]:
                 return {"n": n, "c": c, "m": m, "tower": "symbolic"}
-            if not I ** (m + 1) <= I ** m:
+            if not ordinary[m] <= ordinary[m - 1]:
                 return {"n": n, "c": c, "m": m, "tower": "ordinary"}
     return None
 

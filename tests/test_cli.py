@@ -228,7 +228,7 @@ def test_budget_errors_exit_three(capsys):
             (("gens", "--n", "40", "--c", "20"),
              "I(40,20) has 244662670200 generators"),
             (("resurgence", "--n", "2", "--c", "2", "--witnesses",
-              "100000000"), "--witnesses 100000000 lists")):
+              "100000000"), "witness_count=100000000 lists")):
         start = time.perf_counter()
         code, _, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1
@@ -249,25 +249,53 @@ def test_budget_errors_exit_three(capsys):
     assert err.endswith("more than max_candidates=100\n")
 
 
+CALL_SECONDS = 5  # generous: the slowest drawn call takes well under 1 s
+
+
 @given(st.integers(1, 40), st.data())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=140, deadline=None)
 def test_listings_and_oracles_stay_within_budget(n, data):
+    """Every command that counts work against the budget ends in an answer
+    or exit 3, and within CALL_SECONDS, at any n, c and exponent drawn."""
     c = data.draw(st.integers(1, n))
+    d = str(data.draw(st.integers(1, n)))
     nc = ["--n", str(n), "--c", str(c)]
     exponent = str(data.draw(st.integers(1, 40)))
     r = str(data.draw(st.integers(1, 40)))
+    exps = data.draw(st.lists(st.integers(0, 40), min_size=n + 1,
+                              max_size=n + 1))
+    monomial = "*".join(f"x{i}^{e}" for i, e in enumerate(exps) if e) or "1"
+    count = str(data.draw(st.integers(0, 40000)))
+    box_m = str(data.draw(st.integers(1, 40000)))
     argv = data.draw(st.sampled_from([
         ["gens", *nc], ["gens", *nc, "--power", exponent],
         ["gens", *nc, "--symbolic", exponent],
-        ["containment", *nc, "--m", exponent, "--r", r, "--oracle"]]))
+        ["member", *nc, "--symbolic", exponent, monomial],
+        ["member", *nc, "--power", r, monomial],
+        ["containment", *nc, "--m", exponent, "--r", r, "--oracle"],
+        ["containment-sym", *nc, "--d", d, "--m", exponent, "--s", r,
+         "--oracle"],
+        ["resurgence", *nc, "--witnesses", count, "--box", box_m, r]]))
+    start = time.perf_counter()
     code, out, err = run_quiet(*argv, "--max-candidates", "20000")
+    assert time.perf_counter() - start < CALL_SECONDS
     assert code in (0, 3)
     if code == 3:
         assert "more than max_candidates=20000" in err
     elif argv[0] == "gens":
         assert 1 <= len(out.splitlines()) <= 20000
-    else:
+    elif argv[0] == "member":
+        assert out.splitlines()[0] in ("true", "false")
+    elif argv[0] == "containment":
         assert out.endswith("agree: true\n")
+    elif argv[0] == "containment-sym":
+        # the fast path is sufficient: it may miss a containment, never
+        # claim a false one
+        assert "\noracle: " in out
+        assert not ("fast: true" in out and "oracle: false" in out)
+    else:
+        assert out.startswith(f"rho(I({n},{c})) = ")
+        assert len(out.splitlines()) == 3 + int(count) - (count == "0")
 
 
 def test_env_and_flag_precedence(capsys, monkeypatch):

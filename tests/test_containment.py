@@ -208,13 +208,14 @@ def test_resurgence_report():
 def test_resurgence_report_budget():
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError,
-                       match="^--witnesses 100000000 lists 100000000 pairs, "
+                       match="^witness_count=100000000 lists 100000000 pairs, "
                              "more than max_candidates=2000000$"):
         resurgence_report(2, 2, witness_count=10**8)
     assert time.perf_counter() - start < 1
     with pytest.raises(BudgetExceededError, match="^box M=11 sweeps 11 "):
         resurgence_report(2, 2, box=(11, 5), max_candidates=10)
-    with pytest.raises(ParameterError, match="must be >= 0, got -1"):
+    with pytest.raises(ParameterError,
+                       match="^witness_count must be >= 0, got -1$"):
         resurgence_report(2, 2, witness_count=-1)
     # the counts are checked first, before (n, c)
     with pytest.raises(BudgetExceededError):

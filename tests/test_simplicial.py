@@ -102,6 +102,14 @@ def test_face_prime_power():
     assert cube == face_prime_ideal(p) ** 3
 
 
+def test_face_prime_needs_two_variables():
+    # power_ideal builds its generators unvalidated, so the ring is checked
+    # when the prime is made
+    for n in (0, -1):
+        with pytest.raises(ParameterError, match=f"^n={n} must be >= 1$"):
+            FacePrime(n, (0,))
+
+
 @pytest.mark.parametrize("n,c", ALL_SPECS_3)
 def test_skeleton_is_intersection_of_face_primes(n, c):
     spec = SimplicialSpec(n, c)
