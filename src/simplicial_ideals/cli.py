@@ -17,14 +17,14 @@ from .config import load_config
 from .containment import check_containment, check_symbolic_containment, resurgence_report
 from .errors import (BudgetExceededError, DimensionError, MonomialParseError,
                      ParameterError)
-from .monomials import Monomial
+from .monomials import Monomial, exps_text
 from .simplicial import (
     SimplicialSpec,
     ordinary_member_detail,
-    ordinary_power_min_gens,
-    simplicial_ideal,
+    ordinary_power_stream,
+    simplicial_ideal_stream,
     symbolic_member_detail,
-    symbolic_power,
+    symbolic_power_stream,
 )
 from .verification import SCOPES, results_to_records, run_verification, summary_lines
 
@@ -52,21 +52,33 @@ def _frac_text(value):
 def _cmd_gens(args, config):
     spec = SimplicialSpec(args.n, args.c)
     budget = config.max_candidates
+    # counted (and checked against the budget) before the first byte is
+    # written; the rows are then written as the stream yields them
     if args.power is not None:
-        ideal = ordinary_power_min_gens(spec, args.power, max_candidates=budget)
+        count, stream = ordinary_power_stream(spec, args.power, budget)
         kind, exponent = "power", args.power
     elif args.symbolic is not None:
-        ideal = symbolic_power(spec, args.symbolic, max_candidates=budget)
+        count, stream = symbolic_power_stream(spec, args.symbolic, budget)
         kind, exponent = "symbolic", args.symbolic
     else:
-        ideal = simplicial_ideal(spec, max_candidates=budget)
+        count, stream = simplicial_ideal_stream(spec, budget)
         kind, exponent = "ideal", None
-    if config.format == "json":
-        payload = {"n": args.n, "c": args.c, "kind": kind, "exponent": exponent,
-                   "count": len(ideal.gens), "generators": ideal.to_lists()}
-        sys.stdout.write(_dumps(payload))
-    else:
-        sys.stdout.write(ideal.to_text())
+    out = sys.stdout
+    if config.format != "json":
+        out.writelines(f"{exps_text(exps)}\n" for exps in stream)
+        return EXIT_OK
+    # the bytes of _dumps(payload) with the generator list written row by
+    # row: every listing has at least one generator, so the list is never []
+    payload = {"n": args.n, "c": args.c, "kind": kind, "exponent": exponent,
+               "count": count, "generators": []}
+    head, tail = _dumps(payload).rsplit("[]", 1)
+    out.write(head + "[")
+    sep = "\n"
+    for exps in stream:
+        row = ",\n      ".join(map(str, exps))
+        out.write(f"{sep}    [\n      {row}\n    ]")
+        sep = ",\n"
+    out.write("\n  ]" + tail)
     return EXIT_OK
 
 

@@ -188,19 +188,26 @@ class MonomialIdeal:
             if len(g.exps) != n + 1:
                 raise DimensionError(
                     f"generator {g!r} has ambient n={g.n}, ideal has n={n}")
-        self._reduce(n, map(_exps, gens))
+        self._adopt(n, _reduce_to_antichain(map(_exps, gens)))
 
     @classmethod
     def _from_candidates(cls, n, tuples):
         # trusted path: caller guarantees every tuple is a valid exponent
         # vector of length n+1 (sums and maxima of generators of one ring)
+        return cls._from_canonical(n, _reduce_to_antichain(tuples))
+
+    @classmethod
+    def _from_canonical(cls, n, tuples):
+        # trusted path: caller guarantees the tuples are an antichain of
+        # exponent vectors of length n+1, already in descending graded-lex
+        # order, so neither the sweep nor a sort is needed
         self = object.__new__(cls)
-        self._reduce(n, tuples)
+        self._adopt(n, tuples)
         return self
 
-    def _reduce(self, n, tuples):
+    def _adopt(self, n, tuples):
         self.n = n
-        self.gens = tuple(map(Monomial._trusted, _reduce_to_antichain(tuples)))
+        self.gens = tuple(map(Monomial._trusted, tuples))
 
     @classmethod
     def _from_minimal(cls, n, gens):

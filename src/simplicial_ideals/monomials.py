@@ -18,6 +18,16 @@ from .errors import DimensionError, MonomialParseError
 _FACTOR = re.compile(r"x(\d+)(?:\^(\d+))?$")
 
 
+def exps_text(exps):
+    """The canonical text of the monomial with exponent tuple ``exps``:
+    ``x<i>^<e>`` factors joined by ``*``, ``^1`` dropped, ``1`` for the unit.
+    ``Monomial.__str__`` and the streamed ``sideal gens`` listing both use it.
+    """
+    parts = [f"x{i}^{e}" if e > 1 else f"x{i}"
+             for i, e in enumerate(exps) if e]
+    return "*".join(parts) or "1"
+
+
 class Monomial:
     __slots__ = ("exps",)
 
@@ -36,15 +46,18 @@ class Monomial:
 
         ``exps`` must already be a tuple of at least 2 non-negative ints.
         Only package code whose tuple holds that by construction may call
-        this: ``__mul__`` and ``lcm``; ``MonomialIdeal._from_candidates``,
-        which wraps the minimal tuples of every ideal the constructor, sum,
-        product and intersection build (validated exponent vectors of one
-        ring, or their sums and maxima, after the same-ring check);
-        ``simplicial._orbit_ideal`` (permutations of orbit representatives
-        that the builders assemble from non-negative ints, n+1 >= 2 of
-        them); and ``simplicial.FacePrime.power_ideal`` (compositions of m
-        placed in n+1 >= 2 coordinates).  Input from users goes through
-        ``__init__``, which validates it.
+        this: ``__mul__`` and ``lcm``; ``MonomialIdeal._adopt``, which
+        wraps the generators of every ideal that the constructor, sum,
+        product and intersection build (the minimal tuples among validated
+        exponent vectors of one ring, or their sums and maxima, after the
+        same-ring check), and of every ideal ``_from_canonical`` builds from
+        the stream of ``simplicial._orbits`` (permutations of orbit
+        representatives that the builders assemble from non-negative ints,
+        n+1 >= 2 of them); and ``simplicial.FacePrime.power_ideal``
+        (compositions of m placed in n+1 >= 2 coordinates).  The streamed
+        ``sideal gens`` listing wraps nothing: it formats the raw tuples
+        with ``exps_text``.  Input from users goes through ``__init__``,
+        which validates it.
         """
         self = object.__new__(cls)
         self.exps = exps
@@ -123,9 +136,7 @@ class Monomial:
         return (self.degree, self.exps) < (other.degree, other.exps)
 
     def __str__(self):
-        parts = [f"x{i}^{e}" if e > 1 else f"x{i}"
-                 for i, e in enumerate(self.exps) if e]
-        return "*".join(parts) or "1"
+        return exps_text(self.exps)
 
     def __repr__(self):
         return f"Monomial({self.exps})"

@@ -13,15 +13,20 @@ of degree n+2-c.  This module builds them and computes
 
 Everything is exact integer combinatorics.  I(n,c), its ordinary powers and
 its symbolic powers are invariant under permuting the n+1 coordinates, so
-each builder names only the weakly decreasing minimal generators, the orbit
-representatives, and ``_orbit_ideal`` does the rest: it sums the orbit sizes
-before building a generator, raises BudgetExceededError past the
-``max_candidates`` budget instead of starting an enumeration it cannot
-finish, and emits the permutations of each representative.
+each of them names only the weakly decreasing minimal generators, the orbit
+representatives, and one enumerator, ``_orbits``, does the rest: it sums
+the orbit sizes before building a generator, raises BudgetExceededError
+past the ``max_candidates`` budget instead of starting an enumeration it
+cannot finish, and streams the permutations of the representatives in the
+canonical descending graded-lex order, holding the representatives and at
+most ``_BLOCK`` generators at a time.
+The ``*_stream`` functions return that (count, stream) pair, which
+``sideal gens`` writes out row by row; the builders wrap the same stream
+in a MonomialIdeal.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 from math import comb, factorial, prod
 
 from .errors import DEFAULT_MAX_CANDIDATES, DimensionError, ParameterError, budget_error
@@ -81,15 +86,22 @@ class FacePrime:
         return MonomialIdeal._from_minimal(self.n, gens)
 
 
-def simplicial_ideal(spec, max_candidates=None):
-    """I(n,c): all squarefree monomials of degree n+2-c in x_0..x_n.
+def simplicial_ideal_stream(spec, max_candidates=None):
+    """(count, stream) of the minimal generators of I(n,c): all squarefree
+    monomials of degree n+2-c in x_0..x_n.
 
     They are the binomial(n+1, n+2-c) permutations of (1,)*(n+2-c) +
-    (0,)*(c-1); _orbit_ideal counts them against ``max_candidates``.
+    (0,)*(c-1); _orbits counts them against ``max_candidates``.
     """
     n, c = spec.n, spec.c
-    return _orbit_ideal(n, [(1,) * (n + 2 - c) + (0,) * (c - 1)],
-                        max_candidates, f"I({n},{c})")
+    return _orbits(n, [(1,) * (n + 2 - c) + (0,) * (c - 1)],
+                   max_candidates, f"I({n},{c})")
+
+
+def simplicial_ideal(spec, max_candidates=None):
+    """I(n,c), built from simplicial_ideal_stream."""
+    _, stream = simplicial_ideal_stream(spec, max_candidates)
+    return MonomialIdeal._from_canonical(spec.n, stream)
 
 
 def face_primes(spec):
@@ -165,50 +177,103 @@ def _partitions(total, parts, cap):
         start, rest = i + 1, rest + 1
 
 
-def _distinct_permutations(values):
-    """Each distinct permutation of a value multiset exactly once (lex order)."""
-    seq = sorted(values)
+def _descending_permutations(seq, fixed):
+    """Each distinct permutation of the tuple ``seq`` that keeps its first
+    ``fixed`` entries in place, exactly once, in descending lexicographic
+    order.  The step to the next permutation takes the rightmost i with
+    seq[i] > seq[i + 1], swaps seq[i] with the rightmost smaller entry after
+    it, and reverses the (ascending) tail; it stops when i < fixed."""
+    seq = list(seq)
+    seq[fixed:] = sorted(seq[fixed:], reverse=True)
     k = len(seq)
     while True:
         yield tuple(seq)
         i = k - 2
-        while i >= 0 and seq[i] >= seq[i + 1]:
+        while i >= fixed and seq[i] <= seq[i + 1]:
             i -= 1
-        if i < 0:
+        if i < fixed:
             return
         j = k - 1
-        while seq[j] <= seq[i]:
+        while seq[j] >= seq[i]:
             j -= 1
         seq[i], seq[j] = seq[j], seq[i]
-        seq[i + 1:] = reversed(seq[i + 1:])
+        seq[i + 1:] = seq[:i:-1]
 
 
-def _orbit_ideal(n, reps, max_candidates, name):
-    """The ideal ``name`` minimally generated by the coordinate permutations
-    of ``reps``, weakly decreasing tuples of n+1 ints whose orbits together
-    form an antichain.  The orbit sizes (n+1)! / prod(multiplicity!) are
-    summed first, and BudgetExceededError is raised, before any generator is
-    built, as soon as the sum passes ``max_candidates`` (None:
-    DEFAULT_MAX_CANDIDATES); its count reads "at least" when representatives
-    were left uncounted."""
+def _orbit_size(rep):
+    """Number of distinct permutations of ``rep``: len! / prod(mult!)."""
+    return factorial(len(rep)) // prod(map(factorial, map(rep.count, set(rep))))
+
+
+# the most generators _orbit_blocks lists and sorts at once
+_BLOCK = 1024
+
+
+def _orbits(n, reps, max_candidates, name):
+    """(count, stream) for the ideal ``name`` minimally generated by the
+    coordinate permutations of ``reps``, weakly decreasing tuples of n+1
+    ints whose orbits together form an antichain.
+
+    ``count`` is the number of generators, the sum of the orbit sizes.
+    BudgetExceededError is raised, before any generator is built, as soon
+    as the sum passes ``max_candidates`` (None: DEFAULT_MAX_CANDIDATES); its
+    count reads "at least" when representatives were left uncounted.
+    ``stream`` yields the generators' exponent tuples in descending
+    graded-lex order, the degrees in descending order and, within one, the
+    blocks of _orbit_blocks.  It holds the representatives and at most
+    _BLOCK generators.
+    """
     limit = DEFAULT_MAX_CANDIDATES if max_candidates is None else max_candidates
-    whole = factorial(n + 1)
     count = 0
-    kept = []
+    by_degree = {}
     reps = iter(reps)
     for rep in reps:
-        count += whole // prod(map(factorial, map(rep.count, set(rep))))
+        count += _orbit_size(rep)
         if count > limit:
             bound = "" if next(reps, None) is None else "at least "
             raise budget_error(f"{name} has {bound}{count} generators", limit)
-        kept.append(rep)
-    gens = [Monomial._trusted(perm)
-            for rep in kept for perm in _distinct_permutations(rep)]
-    return MonomialIdeal._from_minimal(n, gens)
+        by_degree.setdefault(sum(rep), []).append(rep)
+    groups = map(by_degree.__getitem__, sorted(by_degree, reverse=True))
+    return count, chain.from_iterable(_orbit_blocks(groups))
 
 
-def symbolic_power(spec, m, max_candidates=None):
-    """Canonical minimal generating set of the m-th symbolic power of I(n,c).
+def _orbit_blocks(groups):
+    """For each list of representatives of one degree, their orbits as
+    consecutive blocks in descending lex order.
+
+    Within one degree the vectors with a larger first entry come first, and
+    those with first entry v are v followed by the orbits of the
+    representatives that contain v, with one v removed.  So the work is a
+    stack of (prefix, remainders) pairs: a lone remainder is one orbit,
+    already in order; remainders of at most _BLOCK vectors in all are listed
+    and sorted; larger ones are split on their next entry, largest first.
+    Orbits are disjoint, so each generator comes once."""
+    for group in groups:
+        stack = [((), group)]
+        while stack:
+            prefix, rests = stack.pop()
+            fixed = len(prefix)
+            if len(rests) == 1:
+                yield _descending_permutations(prefix + rests[0], fixed)
+            elif sum(map(_orbit_size, rests)) <= _BLOCK:
+                block = [perm for rest in rests
+                         for perm in _descending_permutations(prefix + rest,
+                                                              fixed)]
+                block.sort(reverse=True)
+                yield block
+            else:
+                splits = {}
+                for rest in rests:
+                    for v in set(rest):
+                        i = rest.index(v)
+                        splits.setdefault(v, []).append(rest[:i] + rest[i + 1:])
+                # pushed ascending, so the largest entry is taken first
+                stack.extend((prefix + (v,), splits[v]) for v in sorted(splits))
+
+
+def symbolic_power_stream(spec, m, max_candidates=None):
+    """(count, stream) of the minimal generators of the m-th symbolic power
+    of I(n,c), in canonical order.
 
     x^a is a member iff its c smallest exponents sum to >= m (see
     symbolic_member).  That test is invariant under permuting coordinates,
@@ -229,13 +294,20 @@ def symbolic_power(spec, m, max_candidates=None):
 
     So the representatives are (t1,)*(n-c+1) + t, one for each partition
     t = (t1 >= ... >= tc >= 0) of m into at most c parts, and no generator
-    has an exponent above m.  _orbit_ideal counts their orbits against
-    ``max_candidates`` and builds them.
+    has an exponent above m.  _orbits counts their orbits against
+    ``max_candidates`` and streams them.
     """
     _require_power("m", m)
     n, c = spec.n, spec.c
     reps = ((t[0],) * (n - c + 1) + t for t in _partitions(m, c, m))
-    return _orbit_ideal(n, reps, max_candidates, f"I^({m})({n},{c})")
+    return _orbits(n, reps, max_candidates, f"I^({m})({n},{c})")
+
+
+def symbolic_power(spec, m, max_candidates=None):
+    """Canonical minimal generating set of the m-th symbolic power of
+    I(n,c), built from symbolic_power_stream."""
+    _, stream = symbolic_power_stream(spec, m, max_candidates)
+    return MonomialIdeal._from_canonical(spec.n, stream)
 
 
 def symbolic_power_oracle(spec, m, max_candidates=None):
@@ -259,19 +331,25 @@ def symbolic_power_oracle(spec, m, max_candidates=None):
     return intersect_all(powers, max_candidates)
 
 
-def ordinary_power_min_gens(spec, r, max_candidates=None):
-    """Minimal generators of I(n,c)^r in closed form.
+def ordinary_power_stream(spec, r, max_candidates=None):
+    """(count, stream) of the minimal generators of I(n,c)^r in closed form.
 
     They are exactly the exponent vectors of total degree (n-c+2)*r with
     every entry <= r; equal total degree makes the set an antichain, so no
-    reduction step is needed.  Must coincide with simplicial_ideal(spec)**r.
-    Their representatives are the partitions of (n-c+2)*r into n+1 parts of
-    at most r, counted and built by _orbit_ideal.
+    reduction step is needed.  Their representatives are the partitions of
+    (n-c+2)*r into n+1 parts of at most r, counted and streamed by _orbits.
     """
     _require_power("r", r)
     n, c = spec.n, spec.c
-    return _orbit_ideal(n, _partitions((n - c + 2) * r, n + 1, r),
-                        max_candidates, f"I({n},{c})^{r}")
+    return _orbits(n, _partitions((n - c + 2) * r, n + 1, r),
+                   max_candidates, f"I({n},{c})^{r}")
+
+
+def ordinary_power_min_gens(spec, r, max_candidates=None):
+    """I(n,c)^r, built from ordinary_power_stream; must coincide with
+    simplicial_ideal(spec)**r."""
+    _, stream = ordinary_power_stream(spec, r, max_candidates)
+    return MonomialIdeal._from_canonical(spec.n, stream)
 
 
 def ordinary_member(spec, r, a):

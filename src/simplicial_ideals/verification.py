@@ -63,7 +63,7 @@ class VerificationBounds:
     power_incl_ab: int = 3
     filtration_n: int = 4
     filtration_m: int = 4
-    res_box: int = 12          # resurgence box sweep (per spec, n <= 4)
+    res_box: int = 12          # resurgence box sweep (per spec, n <= _RES_N)
     witness_k: int = 100
     boundary_n: int = 3        # criterion-vs-oracle boundary table
     boundary_r: int = 6
@@ -79,6 +79,9 @@ DEEP_BOUNDS = VerificationBounds(
     boundary_n=4, boundary_r=8)
 
 SCOPES = ("triangle", "tetrahedron", "general", "all")
+
+# largest n of the resurgence box sweep and of the witness sequence
+_RES_N = 4
 
 
 @dataclass(frozen=True)
@@ -409,10 +412,10 @@ def _run_filtrations(bounds):
 @_claim("general/resurgence-strict-bound", "general",
         "every noncontained (m, r) has m/r strictly below the resurgence, "
         "and every m/r strictly above it is a containment",
-        "n <= 4, box {res_box}x{res_box}")
+        f"n <= {_RES_N}, box {{res_box}}x{{res_box}}")
 def _run_res_strict(bounds):
     box = bounds.res_box
-    for n, c in _specs_up_to(4):
+    for n, c in _specs_up_to(_RES_N):
         rho = resurgence(n, c)
         for m in range(1, box + 1):
             for r in range(1, box + 1):
@@ -430,9 +433,9 @@ def _run_res_strict(bounds):
 @_claim("general/witness-sequence-converges", "general",
         "witness pairs (kc, floor((n+1)k/(n-c+2))+1) are noncontained with "
         "ratios strictly below the resurgence yet within rho/k of it",
-        "n <= 4, k <= {witness_k}")
+        f"n <= {_RES_N}, k <= {{witness_k}}")
 def _run_witnesses(bounds):
-    for n, c in _specs_up_to(4):
+    for n, c in _specs_up_to(_RES_N):
         rho = resurgence(n, c)
         for k in range(1, bounds.witness_k + 1):
             m, r = resurgence_witness(n, c, k)

@@ -5,14 +5,24 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simplicial_ideals
-from _brute import brute_capped_degree, brute_symbolic_binding
-from simplicial_ideals import Monomial, MonomialIdeal, SimplicialSpec, symbolic_power
+from _brute import (
+    brute_capped_degree,
+    brute_power_gens,
+    brute_skeleton_gens,
+    brute_symbolic_binding,
+    brute_symbolic_gens,
+    brute_symbolic_representatives,
+)
+from simplicial_ideals import (Monomial, MonomialIdeal, SimplicialSpec,
+                               symbolic_power)
 from simplicial_ideals.cli import main
 from simplicial_ideals.verification import ClaimResult
 
@@ -63,6 +73,69 @@ def test_gens_json_round_trips(capsys):
     rebuilt = MonomialIdeal.from_lists(payload["n"], payload["generators"])
     assert rebuilt == symbolic_power(SimplicialSpec(2, 2), 3)
     assert payload["count"] == len(rebuilt.gens)
+
+
+def _brute_listing(n, c, kind, exponent):
+    """The generators a listing must print, from the naive routes."""
+    if kind == "ideal":
+        gens = brute_skeleton_gens(n, c)
+    elif kind == "power":
+        gens = brute_power_gens(n, c, exponent)
+    elif (exponent + 1) ** (n + 1) <= 5000:
+        gens = brute_symbolic_gens(n, c, exponent)
+    else:
+        # the full box scan is too slow here: permute the representatives
+        # that the weakly decreasing scan finds
+        gens = [Monomial(perm)
+                for rep in brute_symbolic_representatives(n, c, exponent)
+                for perm in set(permutations(rep))]
+    return MonomialIdeal(n, gens)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_gens_stream_matches_brute(n):
+    """The streamed listing, text and JSON, has the bytes of the listing
+    built from the naive generators."""
+    for c in range(1, n + 1):
+        cases = ([("ideal", None)] + [("power", r) for r in range(1, 4)]
+                 + [("symbolic", m) for m in range(1, 7)])
+        for kind, exponent in cases:
+            ideal = _brute_listing(n, c, kind, exponent)
+            argv = ["gens", "--n", str(n), "--c", str(c)]
+            if exponent is not None:
+                argv += [f"--{kind}", str(exponent)]
+            code, text, _ = run_quiet(*argv)
+            assert code == 0 and text == ideal.to_text(), argv
+            code, out, _ = run_quiet(*argv, "--format", "json")
+            payload = {"n": n, "c": c, "kind": kind, "exponent": exponent,
+                       "count": len(ideal.gens),
+                       "generators": ideal.to_lists()}
+            assert code == 0 and out == json.dumps(payload, indent=2) + "\n"
+            assert json.loads(out)["count"] == len(text.splitlines())
+
+
+class _Discard(io.TextIOBase):
+    """A stdout that drops what it is given."""
+
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", [(), ("--format", "json")])
+def test_gens_listing_memory_is_bounded(fmt):
+    # 4917 generators: held whole, the listing takes several MB
+    # a first call fills the caches that every call shares (regexes, ...)
+    run_quiet("gens", "--n", "2", "--c", "1")
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Discard()):
+            code = main(["gens", "--n", "10", "--c", "4", "--power", "2",
+                         *fmt])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1 << 20, peak
 
 
 def test_member_output(capsys):
@@ -230,16 +303,19 @@ def test_budget_errors_exit_three(capsys):
             (("resurgence", "--n", "2", "--c", "2", "--witnesses",
               "100000000"), "witness_count=100000000 lists")):
         start = time.perf_counter()
-        code, _, err = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1
         assert code == 3 and message in err and "max_candidates=" in err
+        assert out == ""
     code, _, err = run_cli(capsys, "containment", "--n", "6", "--c", "2",
                            "--m", "3", "--r", "2", "--oracle",
                            "--max-candidates", "10")
     assert code == 3 and "I^(3)(6,2) has 14 generators" in err
-    code, _, err = run_cli(capsys, "gens", "--n", "4", "--c", "2",
-                           "--symbolic", "6", "--max-candidates", "5")
-    assert code == 3
+    # a listing streams, but only after the count passed the budget check
+    code, out, err = run_cli(capsys, "gens", "--n", "4", "--c", "2",
+                             "--symbolic", "6", "--max-candidates", "5",
+                             "--format", "json")
+    assert code == 3 and out == ""
     code, _, err = run_cli(capsys, "gens", "--n", "8", "--c", "4",
                            "--symbolic", "8", "--max-candidates", "100")
     assert code == 3 and "more than max_candidates=100" in err
