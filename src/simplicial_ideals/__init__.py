@@ -6,10 +6,7 @@ force, and compute resurgence -- all in exact integer/rational arithmetic.
 """
 
 from .containment import (
-    ContainmentVerdict,
     ResurgenceReport,
-    check_containment,
-    check_symbolic_containment,
     containment_boundary,
     containment_criterion,
     containment_oracle,

@@ -11,10 +11,12 @@ resource budget was exceeded.
 
 import argparse
 import json
+import signal
 import sys
 
 from .config import load_config
-from .containment import check_containment, check_symbolic_containment, resurgence_report
+from .containment import (containment_criterion, containment_oracle, resurgence_report,
+                          symbolic_containment_oracle, symbolic_containment_sufficient)
 from .errors import (BudgetExceededError, DimensionError, MonomialParseError,
                      ParameterError)
 from .monomials import Monomial, exps_text
@@ -117,40 +119,47 @@ def _cmd_member(args, config):
     return EXIT_OK
 
 
-def _print_verdict(verdict, label, config):
+def _print_verdict(query, label, fast, oracle, config):
+    agree = None if oracle is None else fast == oracle
     if config.format == "json":
-        payload = {"query": verdict.query, "fast": verdict.fast_path,
-                   "oracle": verdict.oracle, "agree": verdict.agree}
-        sys.stdout.write(_dumps(payload))
-        return
-    print(f"query: {label}")
-    print(f"fast: {_bool_text(verdict.fast_path)}")
-    if verdict.oracle is not None:
-        print(f"oracle: {_bool_text(verdict.oracle)}")
-        print(f"agree: {_bool_text(verdict.agree)}")
+        sys.stdout.write(_dumps({"query": query, "fast": fast,
+                                 "oracle": oracle, "agree": agree}))
+    else:
+        print(f"query: {label}")
+        print(f"fast: {_bool_text(fast)}")
+        if oracle is not None:
+            print(f"oracle: {_bool_text(oracle)}")
+            print(f"agree: {_bool_text(agree)}")
+    return agree
 
 
 def _cmd_containment(args, config):
-    verdict = check_containment(args.n, args.c, args.m, args.r,
-                                with_oracle=args.oracle,
-                                max_candidates=config.max_candidates)
-    label = (f"I^({args.m})({args.n},{args.c})"
-             f" in I({args.n},{args.c})^{args.r}")
-    _print_verdict(verdict, label, config)
+    n, c, m, r = args.n, args.c, args.m, args.r
+    fast = containment_criterion(n, c, m, r)
+    oracle = (containment_oracle(n, c, m, r,
+                                 max_candidates=config.max_candidates)
+              if args.oracle else None)
+    agree = _print_verdict({"n": n, "c": c, "m": m, "r": r},
+                           f"I^({m})({n},{c}) in I({n},{c})^{r}",
+                           fast, oracle, config)
     # the closed form is exact, so any oracle disagreement is a claim failure
-    if verdict.agree is False:
-        return EXIT_CLAIM_FAILED
-    return EXIT_OK
+    return EXIT_CLAIM_FAILED if agree is False else EXIT_OK
 
 
 def _cmd_containment_sym(args, config):
-    verdict = check_symbolic_containment(args.n, args.c, args.d, args.m,
-                                         args.s, with_oracle=args.oracle,
-                                         max_candidates=config.max_candidates)
-    label = (f"I^({args.m})({args.n},{args.c})"
-             f" in I^({args.s})({args.n},{args.d})")
-    _print_verdict(verdict, label, config)
-    # fast path is sufficient only; fast=false with oracle=true is expected
+    n, c, d, m, s = args.n, args.c, args.d, args.m, args.s
+    # the sufficient condition never sees n: check c and d against it first
+    SimplicialSpec(n, c)
+    SimplicialSpec(n, d)
+    fast = symbolic_containment_sufficient(c, d, m, s)
+    oracle = (symbolic_containment_oracle(n, c, d, m, s,
+                                          max_candidates=config.max_candidates)
+              if args.oracle else None)
+    # the fast path is sufficient only: fast=false with oracle=true is
+    # expected, so a disagreement is still exit 0
+    _print_verdict({"n": n, "c": c, "d": d, "m": m, "s": s},
+                   f"I^({m})({n},{c}) in I^({s})({n},{d})",
+                   fast, oracle, config)
     return EXIT_OK
 
 
@@ -194,8 +203,11 @@ def _cmd_verify(args, config):
                "passed": len(results) - failed, "failed": failed,
                "claims": records}
     if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(_dumps(payload))
+        try:
+            with open(args.report, "w") as fh:
+                fh.write(_dumps(payload))
+        except OSError as exc:
+            raise ParameterError(f"cannot write report {args.report}: {exc}")
     if config.format == "json":
         sys.stdout.write(_dumps(payload))
     else:
@@ -305,4 +317,8 @@ def main(argv=None):
 
 
 def entry():
+    # a listing piped into ``head`` ends quietly when the reader leaves, as
+    # ``seq | head`` does, instead of raising BrokenPipeError on the next write
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())

@@ -15,7 +15,7 @@ decision.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DEFAULT_MAX_CANDIDATES, ParameterError, budget_error
+from .errors import DEFAULT_MAX_CANDIDATES, ParameterError, budget_error, require_int
 from .simplicial import (
     SimplicialSpec,
     _require_power,
@@ -156,48 +156,6 @@ def containment_boundary(n, c, max_r, use_oracle=False, max_candidates=None):
 
 
 @dataclass(frozen=True)
-class ContainmentVerdict:
-    """A containment query with its fast-path answer and optional oracle check."""
-
-    query: dict
-    fast_path: bool
-    oracle: bool = None
-    agree: bool = None
-
-
-def check_containment(n, c, m, r, with_oracle=False, max_candidates=None):
-    """Verdict for the symbolic-in-ordinary containment of I(n,c)."""
-    fast = containment_criterion(n, c, m, r)
-    oracle = agree = None
-    if with_oracle:
-        oracle = containment_oracle(n, c, m, r, max_candidates=max_candidates)
-        agree = fast == oracle
-    return ContainmentVerdict(
-        query={"n": n, "c": c, "m": m, "r": r},
-        fast_path=fast, oracle=oracle, agree=agree)
-
-
-def check_symbolic_containment(n, c, d, m, s, with_oracle=False,
-                               max_candidates=None):
-    """Verdict for the symbolic-in-symbolic containment I(n,c) -> I(n,d).
-
-    The fast path is only sufficient, so fast=False with oracle=True is a
-    legitimate outcome (agree records plain equality of the two answers).
-    """
-    SimplicialSpec(n, c)
-    SimplicialSpec(n, d)
-    fast = symbolic_containment_sufficient(c, d, m, s)
-    oracle = agree = None
-    if with_oracle:
-        oracle = symbolic_containment_oracle(
-            n, c, d, m, s, max_candidates=max_candidates)
-        agree = fast == oracle
-    return ContainmentVerdict(
-        query={"n": n, "c": c, "d": d, "m": m, "s": s},
-        fast_path=fast, oracle=oracle, agree=agree)
-
-
-@dataclass(frozen=True)
 class ResurgenceReport:
     """Exact resurgence with witness samples and an optional box sweep."""
 
@@ -220,6 +178,7 @@ def resurgence_report(n, c, witness_count=0, box=None, max_candidates=None):
     limit = DEFAULT_MAX_CANDIDATES if max_candidates is None else max_candidates
     if box and box[0] > limit:
         raise budget_error(f"box M={box[0]} sweeps {box[0]} values of m", limit)
+    require_int("witness_count", witness_count)
     if witness_count < 0:
         raise ParameterError(f"witness_count must be >= 0, got {witness_count}")
     if witness_count > limit:

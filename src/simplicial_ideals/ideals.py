@@ -16,22 +16,23 @@ of the intersection, since whatever in the intersection divides g lies in
 g's own ideal, whose generators form an antichain.  So g is kept as it is,
 and it forms no lcm: each of its lcms is a multiple of it.
 
-Every divisibility test -- reduction to the antichain, containment ``<=``,
-``contains`` and the intersection's pruning -- goes through one structure,
-``_DivisorIndex``.  Tuple k of an index owns bit k.  For each coordinate i and
-each value v up to ``top``, the largest indexed entry, the index keeps the int
-whose set bits are the tuples with entry i <= v.  A vector a has a divisor in
-the index iff the AND over i of those ints at min(a_i, top) is nonzero: at
-most n+1 C-level big-int ANDs per query, however many tuples are indexed.
+Every batch of divisibility tests -- reduction to the antichain, containment
+``<=`` and the intersection's pruning -- goes through one structure,
+``_DivisorIndex``; ``contains``, a single query, scans the generators.
+Tuple k of an index owns bit k.  For each coordinate i and each value v up
+to ``top``, the largest indexed entry, the index keeps the int whose set
+bits are the tuples with entry i <= v.  A vector a has a divisor in the
+index iff the AND over i of those ints at min(a_i, top) is nonzero: at most
+n+1 C-level big-int ANDs per query, however many tuples are indexed.
 Entries above ``_DENSE_TOP`` are first replaced by their ranks (``_compact``),
 so the masks never grow with the size of an exponent.
 """
 
 from bisect import bisect_right
 from itertools import accumulate, chain, compress, count, filterfalse, repeat
-from operator import add, attrgetter, getitem, lshift, not_, or_
+from operator import add, attrgetter, getitem, le, lshift, not_, or_
 
-from .errors import DEFAULT_MAX_CANDIDATES, DimensionError, ParameterError, budget_error
+from .errors import DEFAULT_MAX_CANDIDATES, DimensionError, ParameterError, budget_error, require_int
 from .monomials import Monomial
 
 _exps = attrgetter("exps")
@@ -181,6 +182,7 @@ class MonomialIdeal:
     __slots__ = ("n", "gens")
 
     def __init__(self, n, gens=()):
+        require_int("n", n)
         if n < 1:
             raise ParameterError(f"ambient dimension n={n} must be >= 1")
         gens = tuple(gens)
@@ -209,19 +211,6 @@ class MonomialIdeal:
         self.n = n
         self.gens = tuple(map(Monomial._trusted, tuples))
 
-    @classmethod
-    def _from_minimal(cls, n, gens):
-        # trusted path: caller guarantees gens are distinct, of length n+1 and
-        # pairwise indivisible, so the antichain sweep can be skipped.  Two
-        # stable sorts on C-compared keys give descending graded-lex without
-        # a Python-level Monomial.__lt__ call per comparison.
-        ordered = sorted(gens, key=_exps, reverse=True)
-        ordered.sort(key=attrgetter("degree"), reverse=True)
-        self = object.__new__(cls)
-        self.n = n
-        self.gens = tuple(ordered)
-        return self
-
     def _check_same_ring(self, other):
         if self.n != other.n:
             raise DimensionError(f"ideals with ambient n={self.n} and n={other.n}")
@@ -231,8 +220,9 @@ class MonomialIdeal:
         if mono.n != self.n:
             raise DimensionError(
                 f"monomial with ambient n={mono.n}, ideal has n={self.n}")
-        return next(_divisible(self.n + 1, [mono.exps],
-                               list(map(_exps, self.gens))))
+        # one query would not pay back an index build: scan the generators
+        a = mono.exps
+        return any(all(map(le, g.exps, a)) for g in self.gens)
 
     __contains__ = contains
 

@@ -46,27 +46,16 @@ class Monomial:
 
         ``exps`` must already be a tuple of at least 2 non-negative ints.
         Only package code whose tuple holds that by construction may call
-        this: ``__mul__`` and ``lcm``; ``MonomialIdeal._adopt``, which
-        wraps the generators of every ideal that the constructor, sum,
-        product and intersection build (the minimal tuples among validated
-        exponent vectors of one ring, or their sums and maxima, after the
-        same-ring check), and of every ideal ``_from_canonical`` builds from
-        the stream of ``simplicial._orbits`` (permutations of orbit
-        representatives that the builders assemble from non-negative ints,
-        n+1 >= 2 of them); and ``simplicial.FacePrime.power_ideal``
-        (compositions of m placed in n+1 >= 2 coordinates).  The streamed
-        ``sideal gens`` listing wraps nothing: it formats the raw tuples
-        with ``exps_text``.  Input from users goes through ``__init__``,
-        which validates it.
+        this: ``__mul__`` and ``lcm``, and ``MonomialIdeal._adopt``, which
+        wraps the generators of every ideal the package builds: the minimal
+        tuples among validated exponent vectors of one ring, or their sums
+        and maxima; the face-prime powers (compositions of m placed in
+        n+1 >= 2 coordinates); and the stream of ``simplicial._orbits``.
+        Input from users goes through ``__init__``, which validates it.
         """
         self = object.__new__(cls)
         self.exps = exps
         return self
-
-    @classmethod
-    def unit(cls, n):
-        """The monomial 1 in n+1 variables (all exponents zero)."""
-        return cls((0,) * (n + 1))
 
     @classmethod
     def parse(cls, text, n):

@@ -29,9 +29,8 @@ from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 from math import comb, factorial, prod
 
-from .errors import DEFAULT_MAX_CANDIDATES, DimensionError, ParameterError, budget_error
+from .errors import DEFAULT_MAX_CANDIDATES, DimensionError, ParameterError, budget_error, require_int
 from .ideals import MonomialIdeal, intersect_all
-from .monomials import Monomial
 
 
 @dataclass(frozen=True)
@@ -42,9 +41,8 @@ class SimplicialSpec:
     c: int
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or isinstance(self.c, bool):
-            raise ParameterError(
-                f"n={self.n!r}, c={self.c!r}: a bool is not an integer parameter")
+        require_int("n", self.n)
+        require_int("c", self.c)
         if self.n < 1:
             raise ParameterError(f"n={self.n} must be >= 1")
         if not 1 <= self.c <= self.n:
@@ -60,10 +58,13 @@ class FacePrime:
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
+        require_int("n", self.n)
         if self.n < 1:
             raise ParameterError(f"n={self.n} must be >= 1")
         if not self.variables:
             raise ParameterError("face prime needs at least one variable")
+        for i in self.variables:
+            require_int("variable", i)
         if len(set(self.variables)) != len(self.variables):
             raise ParameterError(f"repeated variable in {self.variables}")
         if any(not 0 <= i <= self.n for i in self.variables):
@@ -74,16 +75,17 @@ class FacePrime:
         """m-th power: generated by all degree-m monomials in the c variables."""
         _require_power("m", m)
         c = len(self.variables)
-        gens = []
-        # compositions of m into c parts, via bar positions
+        tuples = []
+        # compositions of m into c parts, via bar positions: one degree, so
+        # the reduction sorts them and tests no divisibility
         for bars in combinations(range(m + c - 1), c - 1):
             exps = [0] * (self.n + 1)
             prev = -1
             for var, bar in zip(self.variables, bars + (m + c - 1,)):
                 exps[var] = bar - prev - 1
                 prev = bar
-            gens.append(Monomial._trusted(tuple(exps)))
-        return MonomialIdeal._from_minimal(self.n, gens)
+            tuples.append(tuple(exps))
+        return MonomialIdeal._from_candidates(self.n, tuples)
 
 
 def simplicial_ideal_stream(spec, max_candidates=None):
@@ -110,9 +112,10 @@ def face_primes(spec):
 
 
 def _require_power(name, value):
-    """Reject an integer parameter below 1, and a bool posing as 0 or 1."""
-    if value is True or value is False:
-        raise ParameterError(f"{name}={value!r} must be an integer, not a bool")
+    """Reject a non-integer (see require_int) or a value below 1.  The
+    membership tests call this per generator, so an int skips the call."""
+    if type(value) is not int:
+        require_int(name, value)
     if value < 1:
         raise ParameterError(f"{name}={value} must be >= 1")
 

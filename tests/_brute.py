@@ -6,6 +6,7 @@ the package's fast paths is meaningful evidence.
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from operator import le
 
 from simplicial_ideals import Monomial, MonomialIdeal
 
@@ -36,9 +37,11 @@ def brute_capped_degree(r, mono):
 
 
 def _minimalize(monos):
+    """The minimal monomials among ``monos``, ascending in degree then
+    exponents, by comparing each with every one kept before it."""
     kept = []
     for mono in sorted(monos, key=lambda x: (x.degree, x.exps)):
-        if not any(other.divides(mono) for other in kept):
+        if not any(all(map(le, other.exps, mono.exps)) for other in kept):
             kept.append(mono)
     return kept
 
@@ -108,23 +111,33 @@ def face_prime_ideal(prime):
     return MonomialIdeal(prime.n, gens)
 
 
+def brute_face_prime_power(prime, m):
+    """Exponent tuples of the degree-m monomials in the variables of the
+    face prime: every vector over them with entries in [0, m], kept when
+    its entries sum to m."""
+    gens = []
+    for vals in product(range(m + 1), repeat=len(prime.variables)):
+        if sum(vals) == m:
+            vec = [0] * (prime.n + 1)
+            for i, e in zip(prime.variables, vals):
+                vec[i] = e
+            gens.append(tuple(vec))
+    return gens
+
+
 def brute_power_gens(n, c, r):
     """Minimal generators of I(n,c)^r by expanding all r-fold products."""
-    base = brute_skeleton_gens(n, c)
-    prods = set()
-    for combo in combinations_with_replacement(base, r):
-        acc = Monomial.unit(n)
-        for factor in combo:
-            acc = acc * factor
-        prods.add(acc)
-    return _minimalize(prods)
+    base = [g.exps for g in brute_skeleton_gens(n, c)]
+    prods = {tuple(map(sum, zip(*combo)))
+             for combo in combinations_with_replacement(base, r)}
+    return _minimalize(map(Monomial, prods))
 
 
 def brute_ordinary_member(n, c, r, mono, gens=None):
     """Divisibility against the expanded generating set of I(n,c)^r."""
     if gens is None:
         gens = brute_power_gens(n, c, r)
-    return any(g.divides(mono) for g in gens)
+    return any(all(map(le, g.exps, mono.exps)) for g in gens)
 
 
 def brute_resurgence_sup(n, c, max_m, max_r, contained):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -213,6 +214,28 @@ def test_containment_sym_counterexample(capsys):
     assert "agree: false" in out
 
 
+def test_containment_oracle_disagreement_exits_one(capsys, monkeypatch):
+    # the criterion is exact, so an oracle that disagrees fails the query
+    monkeypatch.setattr("simplicial_ideals.cli.containment_oracle",
+                        lambda *args, **kwargs: False)
+    code, out, _ = run_cli(capsys, "containment", "--n", "3", "--c", "2",
+                           "--m", "3", "--r", "2", "--oracle")
+    assert code == 1
+    assert out.endswith("fast: true\noracle: false\nagree: false\n")
+
+
+def test_containment_sym_checks_both_codimensions(capsys):
+    # (n, c) first, then (n, d), before any verdict is printed
+    code, out, err = run_cli(capsys, "containment-sym", "--n", "2", "--c",
+                             "1", "--d", "3", "--m", "1", "--s", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: c=3 must satisfy 1 <= c <= n=2\n"
+    code, out, err = run_cli(capsys, "containment-sym", "--n", "2", "--c",
+                             "4", "--d", "3", "--m", "1", "--s", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: c=4 must satisfy 1 <= c <= n=2\n"
+
+
 def test_resurgence_output(capsys):
     code, out, _ = run_cli(capsys, "resurgence", "--n", "2", "--c", "2")
     assert code == 0
@@ -269,6 +292,15 @@ def test_verify_report_file(tmp_path, capsys):
     assert f"report written to {report}" in out
     payload = json.loads(report.read_text())
     assert payload["passed"] == len(payload["claims"])
+
+
+def test_verify_report_unwritable_exits_two(tmp_path, capsys):
+    report = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "verify", "triangle",
+                             "--report", str(report))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write report {report}: ")
+    assert not report.exists()
 
 
 def test_verify_failing_claim_exits_one(capsys, monkeypatch):
@@ -403,14 +435,19 @@ def test_oracle_runs_within_the_generator_budget(capsys):
     assert out.endswith("agree: true\n")
 
 
-def run_module(*argv):
-    """Run ``python -m simplicial_ideals`` on the copy these tests import."""
+def module_env():
+    """The environment in which ``python -m simplicial_ideals`` runs the
+    copy these tests import."""
     src = os.path.dirname(os.path.dirname(simplicial_ideals.__file__))
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+def run_module(*argv):
+    """Run ``python -m simplicial_ideals`` on the copy these tests import."""
     return subprocess.run(
         [sys.executable, "-m", "simplicial_ideals", *argv],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=module_env())
 
 
 def test_module_entry_point():
@@ -422,3 +459,21 @@ def test_module_entry_point():
 def test_missing_subcommand_exits_two():
     proc = run_module()
     assert proc.returncode == 2
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+def test_listing_into_a_closed_pipe_ends_quietly():
+    # as in ``sideal gens ... | head -2``: the reader leaves after two rows
+    # of a listing far longer than a pipe buffer
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "simplicial_ideals", "gens", "--n", "12",
+         "--c", "4", "--power", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=module_env())
+    rows = [proc.stdout.readline(), proc.stdout.readline()]
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == -signal.SIGPIPE
+    assert err == ""
+    assert rows == ["x0^2*x1^2*x2^2*x3^2*x4^2*x5^2*x6^2*x7^2*x8^2*x9^2\n",
+                    "x0^2*x1^2*x2^2*x3^2*x4^2*x5^2*x6^2*x7^2*x8^2*x9*x10\n"]

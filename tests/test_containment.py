@@ -1,3 +1,4 @@
+import json
 import time
 from fractions import Fraction
 
@@ -12,9 +13,8 @@ from simplicial_ideals import (
     ordinary_member,
     symbolic_member,
 )
+from simplicial_ideals.cli import main
 from simplicial_ideals.containment import (
-    check_containment,
-    check_symbolic_containment,
     containment_boundary,
     containment_criterion,
     containment_oracle,
@@ -179,20 +179,32 @@ def test_containment_boundary_routes_agree():
         assert rows == sorted(rows)  # thresholds never decrease
 
 
-def test_check_containment_verdict():
-    verdict = check_containment(3, 2, 3, 2, with_oracle=True)
-    assert verdict.fast_path and verdict.oracle and verdict.agree
-    verdict = check_containment(2, 2, 2, 2)
-    assert not verdict.fast_path
-    assert verdict.oracle is None and verdict.agree is None
-    assert verdict.query == {"n": 2, "c": 2, "m": 2, "r": 2}
+def _verdict(capsys, *argv):
+    """Run one containment query through the CLI and read its JSON verdict."""
+    code = main([*argv, "--format", "json"])
+    return code, json.loads(capsys.readouterr().out)
 
 
-def test_check_symbolic_containment_verdict():
-    verdict = check_symbolic_containment(3, 2, 3, 3, 5, with_oracle=True)
-    assert not verdict.fast_path
-    assert verdict.oracle
-    assert verdict.agree is False
+def test_check_containment_verdict(capsys):
+    code, verdict = _verdict(capsys, "containment", "--n", "3", "--c", "2",
+                             "--m", "3", "--r", "2", "--oracle")
+    assert code == 0
+    assert verdict == {"query": {"n": 3, "c": 2, "m": 3, "r": 2},
+                       "fast": True, "oracle": True, "agree": True}
+    code, verdict = _verdict(capsys, "containment", "--n", "2", "--c", "2",
+                             "--m", "2", "--r", "2")
+    assert code == 0
+    assert verdict == {"query": {"n": 2, "c": 2, "m": 2, "r": 2},
+                       "fast": False, "oracle": None, "agree": None}
+
+
+def test_check_symbolic_containment_verdict(capsys):
+    code, verdict = _verdict(capsys, "containment-sym", "--n", "3", "--c",
+                             "2", "--d", "3", "--m", "3", "--s", "5",
+                             "--oracle")
+    assert code == 0
+    assert verdict == {"query": {"n": 3, "c": 2, "d": 3, "m": 3, "s": 5},
+                       "fast": False, "oracle": True, "agree": False}
 
 
 def test_resurgence_report():
@@ -243,7 +255,26 @@ def test_parameter_validation():
             lambda: resurgence(0, 1),
             lambda: resurgence_witness(2, 2, 0),
             lambda: symbolic_containment_sufficient(0, 1, 1, 1),
-            lambda: check_symbolic_containment(2, 1, 3, 1, 1),
+            lambda: symbolic_containment_oracle(2, 1, 3, 1, 1),
     ):
         with pytest.raises(ParameterError):
             bad_call()
+    # a parameter that is not an integer is refused, not rounded or compared
+    for bad in (2.0, 2.5, "2"):
+        for bad_call in (
+                lambda: containment_criterion(2, 2, bad, 1),
+                lambda: containment_criterion(2, 2, 2, bad),
+                lambda: containment_criterion(bad, 2, 2, 1),
+                lambda: containment_oracle(2, 2, bad, 1),
+                lambda: decompose_exponent(2, bad),
+                lambda: decompose_exponent(bad, 3),
+                lambda: resurgence(2, bad),
+                lambda: resurgence_witness(2, 2, bad),
+                lambda: symbolic_containment_sufficient(1, 1, bad, 1),
+                lambda: symbolic_containment_oracle(2, 1, 2, 1, bad),
+                lambda: smallest_containing_symbolic_power(2, 2, bad),
+                lambda: empirical_resurgence_sup(2, 2, 3, bad),
+                lambda: resurgence_report(2, 2, witness_count=bad),
+        ):
+            with pytest.raises(ParameterError, match="must be an integer"):
+                bad_call()

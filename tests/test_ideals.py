@@ -33,8 +33,8 @@ def mixed_degree_case(draw):
     n = draw(st.integers(1, 4))
     monos = st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1).map(
         Monomial)
-    gens = draw(st.lists(st.one_of(monos, st.just(Monomial.unit(n))),
-                         max_size=12))
+    unit = Monomial((0,) * (n + 1))
+    gens = draw(st.lists(st.one_of(monos, st.just(unit)), max_size=12))
     if gens:
         gens += draw(st.lists(st.sampled_from(gens), max_size=4))
     return n, gens, draw(monos)
@@ -57,7 +57,7 @@ def test_canonicalization_is_idempotent_and_sorted():
 
 @given(mixed_degree_case())
 @example((2, [], Monomial((1, 0, 0))))
-@example((3, [Monomial.unit(3)] * 2, Monomial((0, 1, 0, 2))))
+@example((3, [Monomial((0, 0, 0, 0))] * 2, Monomial((0, 1, 0, 2))))
 @settings(max_examples=200)
 def test_reduction_matches_brute_minimalize(case):
     n, gens, mono = case
@@ -90,7 +90,7 @@ def ideal_pair_case(draw):
         if kind == "zero":
             return []
         if kind == "unit":
-            return [Monomial.unit(n)]
+            return [Monomial((0,) * (n + 1))]
         drawn = draw(st.lists(monos, min_size=1, max_size=8))
         return drawn + draw(st.lists(st.sampled_from(drawn), max_size=3))
 
@@ -205,9 +205,9 @@ def test_intersection_prunes_both_operands(case, monkeypatch):
 
 def test_zero_and_unit():
     zero = MonomialIdeal(2)
-    one = MonomialIdeal(2, [Monomial.unit(2)])
+    one = MonomialIdeal(2, [Monomial((0, 0, 0))])
     ideal = ideal_of(2, (1, 1, 0))
-    assert zero.gens == () and one.gens == (Monomial.unit(2),)
+    assert zero.gens == () and one.gens == (Monomial((0, 0, 0)),)
     assert ideal + zero == ideal
     assert ideal * zero == zero
     assert ideal + one == one
@@ -221,7 +221,7 @@ def test_containment_against_the_zero_ideal():
     assert zero <= zero
     assert zero <= ideal
     assert not ideal <= zero
-    assert not MonomialIdeal(2, [Monomial.unit(2)]) <= zero
+    assert not MonomialIdeal(2, [Monomial((0, 0, 0))]) <= zero
     assert ideal & zero == zero
     assert Monomial((0, 0, 0)) not in zero
 
@@ -308,6 +308,12 @@ def test_comparison_requires_same_ring():
 def test_generator_dimension_checked():
     with pytest.raises(DimensionError):
         MonomialIdeal(2, [Monomial((1, 0))])
+    for bad in (2.0, 2.5, "2", True):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            MonomialIdeal(bad, [Monomial((1, 0, 0))])
+    with pytest.raises(ParameterError,
+                       match="^ambient dimension n=0 must be >= 1$"):
+        MonomialIdeal(0)
 
 
 @pytest.mark.parametrize("exps", [(1, 0), (1, 0, 0, 0)])

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _brute import (
-    _minimalize,
     _sorted_vectors,
+    brute_face_prime_power,
     brute_ordinary_member,
     brute_power_gens,
     brute_skeleton_gens,
@@ -23,7 +23,6 @@ from simplicial_ideals import (
     DimensionError,
     FacePrime,
     Monomial,
-    MonomialIdeal,
     ParameterError,
     SimplicialSpec,
     containment_oracle,
@@ -56,9 +55,16 @@ def test_spec_validation():
         SimplicialSpec(2, 3)
     with pytest.raises(ParameterError):
         SimplicialSpec(2, 0)
-    for n, c in ((True, True), (2, True), (True, 1)):
-        with pytest.raises(ParameterError):
+    for n, c in ((True, True), (2, True), (True, 1), (2.0, 2), (2, 2.0),
+                 (2.5, 2), (2, 2.5), ("2", 2), (2, "2")):
+        with pytest.raises(ParameterError, match="must be an integer"):
             SimplicialSpec(n, c)
+    # the messages for an int out of range are unchanged
+    with pytest.raises(ParameterError, match="^n=0 must be >= 1$"):
+        SimplicialSpec(0, 1)
+    with pytest.raises(ParameterError,
+                       match=r"^c=3 must satisfy 1 <= c <= n=2$"):
+        SimplicialSpec(2, 3)
 
 
 def test_known_ideals():
@@ -100,6 +106,14 @@ def test_face_prime_power():
     assert len(cube.gens) == 4  # degree-3 monomials in two variables
     assert all(g.degree == 3 and g.exps[1] == 0 for g in cube.gens)
     assert cube == face_prime_ideal(p) ** 3
+    # the exact canonical order: one degree, so descending lex
+    for n in range(1, 5):
+        for c in range(1, n + 1):
+            for prime in face_primes(SimplicialSpec(n, c)):
+                for m in range(1, 5):
+                    got = [g.exps for g in prime.power_ideal(m).gens]
+                    assert got == sorted(brute_face_prime_power(prime, m),
+                                         reverse=True), (prime, m)
 
 
 def test_face_prime_needs_two_variables():
@@ -108,6 +122,11 @@ def test_face_prime_needs_two_variables():
     for n in (0, -1):
         with pytest.raises(ParameterError, match=f"^n={n} must be >= 1$"):
             FacePrime(n, (0,))
+    # and only integers name it
+    for n, variables in ((True, (0, 1)), (2.0, (0, 1)), ("2", (0, 1)),
+                         (2, (0.0, 1)), (2, (0, True)), (2, ("1",))):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            FacePrime(n, variables)
 
 
 @pytest.mark.parametrize("n,c", ALL_SPECS_3)
@@ -163,24 +182,6 @@ def test_symbolic_representatives_match_sorted_scan(n):
                     if list(g.exps) == sorted(g.exps, reverse=True)]
             assert sorted(reps) == sorted(
                 brute_symbolic_representatives(n, c, m)), (n, c, m)
-
-
-@st.composite
-def shuffled_antichain(draw):
-    """A ring n in 1..4 and a random antichain in it, in random order."""
-    n = draw(st.integers(1, 4))
-    monos = draw(st.lists(
-        st.lists(st.integers(0, 4), min_size=n + 1, max_size=n + 1).map(
-            Monomial), max_size=15))
-    return n, draw(st.permutations(_minimalize(monos)))
-
-
-@given(shuffled_antichain())
-@settings(max_examples=150)
-def test_from_minimal_orders_descending_graded_lex(case):
-    n, gens = case
-    got = MonomialIdeal._from_minimal(n, gens)
-    assert got.gens == tuple(sorted(gens, reverse=True))
 
 
 def test_symbolic_power_matches_brute_force_p4():
@@ -248,7 +249,7 @@ def test_positive_exponent_required():
     spec = SimplicialSpec(2, 2)
     prime = FacePrime(2, (0, 1))
     # a bool is not an exponent, though True == 1
-    for bad in (0, -1, True, False):
+    for bad in (0, -1, True, False, 2.0, 2.5, "2"):
         with pytest.raises(ParameterError):
             symbolic_power(spec, bad)
         with pytest.raises(ParameterError):
@@ -260,7 +261,7 @@ def test_positive_exponent_required():
         for member in (symbolic_member, symbolic_member_detail,
                        ordinary_member, ordinary_member_detail):
             with pytest.raises(ParameterError):
-                member(spec, bad, Monomial.unit(2))
+                member(spec, bad, Monomial((0, 0, 0)))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
