@@ -227,6 +227,10 @@ def build_parser():
     common.add_argument("--max-candidates", type=int, default=None,
                         metavar="N",
                         help="most generators a listing or oracle builds")
+    # the ideal I(n,c) that gens, member, containment* and resurgence ask about
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("--n", type=int, required=True)
+    spec.add_argument("--c", type=int, required=True)
 
     parser = argparse.ArgumentParser(
         prog="sideal",
@@ -234,10 +238,8 @@ def build_parser():
                     "powers, containments, resurgence")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gens", parents=[common],
+    p = sub.add_parser("gens", parents=[common, spec],
                        help="list minimal generators")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
     which = p.add_mutually_exclusive_group()
     which.add_argument("--power", type=int, metavar="R",
                        help="ordinary power I^R")
@@ -245,40 +247,32 @@ def build_parser():
                        help="symbolic power I^(M)")
     p.set_defaults(handler=_cmd_gens)
 
-    p = sub.add_parser("member", parents=[common],
+    p = sub.add_parser("member", parents=[common, spec],
                        help="membership test with the binding constraint")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--power", type=int, metavar="R")
     which.add_argument("--symbolic", type=int, metavar="M")
     p.add_argument("monomial", help="e.g. 'x0^2*x1' or '1'")
     p.set_defaults(handler=_cmd_member)
 
-    p = sub.add_parser("containment", parents=[common],
+    p = sub.add_parser("containment", parents=[common, spec],
                        help="is I^(m)(n,c) inside I(n,c)^r?")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the generator sweep")
     p.set_defaults(handler=_cmd_containment)
 
-    p = sub.add_parser("containment-sym", parents=[common],
+    p = sub.add_parser("containment-sym", parents=[common, spec],
                        help="is I^(m)(n,c) inside I^(s)(n,d)?")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--oracle", action="store_true")
     p.set_defaults(handler=_cmd_containment_sym)
 
-    p = sub.add_parser("resurgence", parents=[common],
+    p = sub.add_parser("resurgence", parents=[common, spec],
                        help="exact resurgence with optional evidence")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
     p.add_argument("--witnesses", type=int, default=0, metavar="K",
                    help="print witness pairs for k = 1..K")
     p.add_argument("--box", type=int, nargs=2, metavar=("M", "R"),

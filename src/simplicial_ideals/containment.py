@@ -15,10 +15,9 @@ decision.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DEFAULT_MAX_CANDIDATES, ParameterError, budget_error, require_int
+from .errors import ParameterError, budget_error, budget_limit, require_int
 from .simplicial import (
     SimplicialSpec,
-    _require_power,
     ordinary_member,
     symbolic_member,
     symbolic_power,
@@ -27,8 +26,8 @@ from .simplicial import (
 
 def decompose_exponent(c, m):
     """Write m = k*c - p with 0 <= p < c; returns (k, p), k = ceil(m/c)."""
-    _require_power("c", c)
-    _require_power("m", m)
+    require_int("c", c, 1)
+    require_int("m", m, 1)
     k = -(-m // c)
     return k, k * c - m
 
@@ -47,7 +46,7 @@ def containment_criterion(n, c, m, r):
     boundary case of equality is a containment.
     """
     SimplicialSpec(n, c)
-    _require_power("r", r)
+    require_int("r", r, 1)
     return r <= _largest_contained_r(n, c, m)
 
 
@@ -55,7 +54,7 @@ def containment_oracle(n, c, m, r, max_candidates=None):
     """Decide the same containment by brute force: every minimal generator
     of the symbolic power must pass the ordinary-power membership test."""
     spec = SimplicialSpec(n, c)
-    _require_power("r", r)  # symbolic_power checks m
+    require_int("r", r, 1)  # symbolic_power checks m
     sym = symbolic_power(spec, m, max_candidates=max_candidates)
     return all(ordinary_member(spec, r, g) for g in sym.gens)
 
@@ -67,7 +66,7 @@ def symbolic_containment_sufficient(c, d, m, s):
     One-directional -- the containment can hold while this returns False.
     """
     for name, value in (("c", c), ("d", d), ("m", m), ("s", s)):
-        _require_power(name, value)
+        require_int(name, value, 1)
     return c <= d and s * c <= m * d
 
 
@@ -79,7 +78,7 @@ def symbolic_containment_oracle(n, c, d, m, s, max_candidates=None):
     """
     src = SimplicialSpec(n, c)
     dst = SimplicialSpec(n, d)
-    _require_power("s", s)  # symbolic_power checks m
+    require_int("s", s, 1)  # symbolic_power checks m
     sym = symbolic_power(src, m, max_candidates=max_candidates)
     return all(symbolic_member(dst, s, g) for g in sym.gens)
 
@@ -99,7 +98,7 @@ def resurgence_witness(n, c, k):
     resurgence from below as k grows.
     """
     SimplicialSpec(n, c)
-    _require_power("k", k)
+    require_int("k", k, 1)
     m = k * c
     r = (n + 1) * k // (n - c + 2) + 1
     return m, r
@@ -115,8 +114,8 @@ def empirical_resurgence_sup(n, c, max_m, max_r):
     sup, and one pass over m suffices.
     """
     SimplicialSpec(n, c)
-    _require_power("max_m", max_m)
-    _require_power("max_r", max_r)
+    require_int("max_m", max_m, 1)
+    require_int("max_r", max_r, 1)
     best = argmax = None
     for m in range(1, max_m + 1):
         r = _largest_contained_r(n, c, m) + 1
@@ -134,7 +133,8 @@ def smallest_containing_symbolic_power(n, c, r, use_oracle=False,
     criterion bound grows strictly with m; m = c*r always succeeds, which
     caps the scan."""
     SimplicialSpec(n, c)
-    _require_power("r", r)
+    require_int("r", r, 1)
+    budget_limit(max_candidates)  # checked though only the oracle uses it
     for m in range(1, c * r + 1):
         if use_oracle:
             if containment_oracle(n, c, m, r, max_candidates=max_candidates):
@@ -150,6 +150,9 @@ def containment_boundary(n, c, max_r, use_oracle=False, max_candidates=None):
     Boundary data only -- recorded for inspection, no conclusion about
     optimality of any general bound is drawn from it.
     """
+    SimplicialSpec(n, c)
+    require_int("max_r", max_r, 0)
+    budget_limit(max_candidates)
     return [(r, smallest_containing_symbolic_power(
         n, c, r, use_oracle=use_oracle, max_candidates=max_candidates))
         for r in range(1, max_r + 1)]
@@ -172,15 +175,20 @@ def resurgence_report(n, c, witness_count=0, box=None, max_candidates=None):
     """Exact resurgence of I(n,c), the witness pairs for k = 1..witness_count
     and, given box = (M, R), the empirical sup over that box.  The box sweep
     is one pass over M values of m and each witness is one pair; both counts
-    are checked against ``max_candidates`` (None: DEFAULT_MAX_CANDIDATES)
-    before anything is computed.  The messages name these parameters.
+    are checked against ``max_candidates`` (see budget_limit) before
+    anything is computed.  The messages name these parameters: the box is
+    checked first, as ``box M`` and ``box R``, then witness_count.
     """
-    limit = DEFAULT_MAX_CANDIDATES if max_candidates is None else max_candidates
-    if box and box[0] > limit:
-        raise budget_error(f"box M={box[0]} sweeps {box[0]} values of m", limit)
-    require_int("witness_count", witness_count)
-    if witness_count < 0:
-        raise ParameterError(f"witness_count must be >= 0, got {witness_count}")
+    limit = budget_limit(max_candidates)
+    if box is not None:
+        if not isinstance(box, (tuple, list)) or len(box) != 2:
+            raise ParameterError(f"box={box!r} must be a pair (M, R)")
+        require_int("box M", box[0], 1)
+        require_int("box R", box[1], 1)
+        if box[0] > limit:
+            raise budget_error(f"box M={box[0]} sweeps {box[0]} values of m",
+                               limit)
+    require_int("witness_count", witness_count, 0)
     if witness_count > limit:
         raise budget_error(f"witness_count={witness_count} lists "
                            f"{witness_count} pairs", limit)
@@ -193,5 +201,5 @@ def resurgence_report(n, c, witness_count=0, box=None, max_candidates=None):
     if box is not None:
         sup, argmax = empirical_resurgence_sup(n, c, *box)
     return ResurgenceReport(n=n, c=c, rho=rho, witnesses=witnesses,
-                            box=tuple(box) if box else None,
+                            box=None if box is None else tuple(box),
                             empirical_sup=sup, empirical_argmax=argmax)

@@ -1,10 +1,12 @@
-"""Exception types shared across the package, its budget and integer check.
+"""Exception types shared across the package, and its one argument rule.
 
 The CLI maps these onto its exit-code contract (see cli.py): parameter,
 dimension and parse problems exit 2, exceeded budgets exit 3.
-"""
 
-from operator import index
+Every public integer parameter passes ``require_int``, which refuses, not
+converts, a value whose type is not exactly int (a bool, a float, a string, a
+NumPy integer); every ``max_candidates`` budget passes ``budget_limit``.
+"""
 
 #: The default of every ``max_candidates`` budget: n <= 6, m <= 12 runs
 #: comfortably, and anything larger raises cleanly rather than stalls.
@@ -36,14 +38,22 @@ def budget_error(what, limit):
     return BudgetExceededError(f"{what}, more than max_candidates={limit}")
 
 
-def require_int(name, value):
-    """Reject a parameter that is not an integer: a bool, though True == 1,
-    and anything ``operator.index`` rejects, such as 2.0 or "2"."""
+def require_int(name, value, least=None):
+    """Reject ``value`` unless its type is exactly int and, given ``least``,
+    it is at least ``least``.  The membership tests call this per
+    generator, so an int is tested first and returns at once."""
     if type(value) is int:
-        return
-    if value is True or value is False:
-        raise ParameterError(f"{name}={value!r} must be an integer, not a bool")
-    try:
-        index(value)
-    except TypeError:
-        raise ParameterError(f"{name}={value!r} must be an integer") from None
+        if least is None or value >= least:
+            return
+        raise ParameterError(f"{name}={value} must be >= {least}")
+    kind = "a bool" if value is True or value is False else type(value).__name__
+    raise ParameterError(f"{name}={value!r} must be an integer, not {kind}")
+
+
+def budget_limit(max_candidates):
+    """The budget ``max_candidates`` names: None means DEFAULT_MAX_CANDIDATES,
+    and any other budget must be an int >= 0; nothing fits in a budget of 0."""
+    if max_candidates is None:
+        return DEFAULT_MAX_CANDIDATES
+    require_int("max_candidates", max_candidates, 0)
+    return max_candidates

@@ -32,7 +32,7 @@ from bisect import bisect_right
 from itertools import accumulate, chain, compress, count, filterfalse, repeat
 from operator import add, attrgetter, getitem, le, lshift, not_, or_
 
-from .errors import DEFAULT_MAX_CANDIDATES, DimensionError, ParameterError, budget_error, require_int
+from .errors import DimensionError, ParameterError, budget_error, budget_limit, require_int
 from .monomials import Monomial
 
 _exps = attrgetter("exps")
@@ -182,9 +182,7 @@ class MonomialIdeal:
     __slots__ = ("n", "gens")
 
     def __init__(self, n, gens=()):
-        require_int("n", n)
-        if n < 1:
-            raise ParameterError(f"ambient dimension n={n} must be >= 1")
+        require_int("n", n, 1)
         gens = tuple(gens)
         for g in gens:
             if len(g.exps) != n + 1:
@@ -243,8 +241,7 @@ class MonomialIdeal:
         return MonomialIdeal._from_candidates(self.n, products)
 
     def __pow__(self, r):
-        if isinstance(r, bool) or not isinstance(r, int) or r < 1:
-            raise ParameterError(f"ideal power r={r!r} must be an integer >= 1")
+        require_int("r", r, 1)
         # square-and-multiply; canonicalization inside __mul__ keeps the
         # intermediate generator sets reduced
         result = None
@@ -325,12 +322,12 @@ def intersect_all(ideals, max_candidates=None):
     Folds pairwise, canonicalizing after every fold so intermediate generator
     sets stay reduced.  A fold of ideals with g and h generators forms at
     most g*h lcm candidates; BudgetExceededError is raised, before the fold,
-    when that passes ``max_candidates`` (None: DEFAULT_MAX_CANDIDATES).
+    when that passes ``max_candidates`` (see budget_limit).
     """
     ideals = list(ideals)
     if not ideals:
         raise ParameterError("intersect_all needs at least one ideal")
-    limit = DEFAULT_MAX_CANDIDATES if max_candidates is None else max_candidates
+    limit = budget_limit(max_candidates)
     acc = ideals[0]
     for other in ideals[1:]:
         pairs = len(acc.gens) * len(other.gens)

@@ -13,7 +13,7 @@ compare by total degree first, then by the exponent tuple.
 import re
 from operator import add, index
 
-from .errors import DimensionError, MonomialParseError
+from .errors import DimensionError, MonomialParseError, require_int
 
 _FACTOR = re.compile(r"x(\d+)(?:\^(\d+))?$")
 
@@ -65,6 +65,7 @@ class Monomial:
         string ``1`` denotes the unit monomial.  Whitespace around factors is
         ignored.  Repeated variables multiply (exponents add).
         """
+        require_int("n", n)
         exps = [0] * (n + 1)
         s = text.strip()
         if not s:

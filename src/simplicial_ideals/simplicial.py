@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 from math import comb, factorial, prod
 
-from .errors import DEFAULT_MAX_CANDIDATES, DimensionError, ParameterError, budget_error, require_int
+from .errors import DimensionError, ParameterError, budget_error, budget_limit, require_int
 from .ideals import MonomialIdeal, intersect_all
 
 
@@ -41,10 +41,8 @@ class SimplicialSpec:
     c: int
 
     def __post_init__(self):
-        require_int("n", self.n)
+        require_int("n", self.n, 1)
         require_int("c", self.c)
-        if self.n < 1:
-            raise ParameterError(f"n={self.n} must be >= 1")
         if not 1 <= self.c <= self.n:
             raise ParameterError(f"c={self.c} must satisfy 1 <= c <= n={self.n}")
 
@@ -58,9 +56,7 @@ class FacePrime:
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
-        require_int("n", self.n)
-        if self.n < 1:
-            raise ParameterError(f"n={self.n} must be >= 1")
+        require_int("n", self.n, 1)
         if not self.variables:
             raise ParameterError("face prime needs at least one variable")
         for i in self.variables:
@@ -73,7 +69,7 @@ class FacePrime:
 
     def power_ideal(self, m):
         """m-th power: generated by all degree-m monomials in the c variables."""
-        _require_power("m", m)
+        require_int("m", m, 1)
         c = len(self.variables)
         tuples = []
         # compositions of m into c parts, via bar positions: one degree, so
@@ -111,15 +107,6 @@ def face_primes(spec):
     return [FacePrime(spec.n, sub) for sub in combinations(range(spec.n + 1), spec.c)]
 
 
-def _require_power(name, value):
-    """Reject a non-integer (see require_int) or a value below 1.  The
-    membership tests call this per generator, so an int skips the call."""
-    if type(value) is not int:
-        require_int(name, value)
-    if value < 1:
-        raise ParameterError(f"{name}={value} must be >= 1")
-
-
 def _ring_mismatch(spec, a):
     """The error for a monomial outside the ring of spec.  The membership
     tests, which the oracles call per generator, check the length inline."""
@@ -133,7 +120,7 @@ def symbolic_member(spec, m, a):
     over c-subsets is attained at the c smallest entries, so sorting once
     replaces the binomial(n+1, c) subset scan.
     """
-    _require_power("m", m)
+    require_int("m", m, 1)
     if len(a.exps) != spec.n + 1:
         raise _ring_mismatch(spec, a)
     return sum(sorted(a.exps)[:spec.c]) >= m
@@ -219,14 +206,14 @@ def _orbits(n, reps, max_candidates, name):
 
     ``count`` is the number of generators, the sum of the orbit sizes.
     BudgetExceededError is raised, before any generator is built, as soon
-    as the sum passes ``max_candidates`` (None: DEFAULT_MAX_CANDIDATES); its
+    as the sum passes ``max_candidates`` (see budget_limit); its
     count reads "at least" when representatives were left uncounted.
     ``stream`` yields the generators' exponent tuples in descending
     graded-lex order, the degrees in descending order and, within one, the
     blocks of _orbit_blocks.  It holds the representatives and at most
     _BLOCK generators.
     """
-    limit = DEFAULT_MAX_CANDIDATES if max_candidates is None else max_candidates
+    limit = budget_limit(max_candidates)
     count = 0
     by_degree = {}
     reps = iter(reps)
@@ -300,7 +287,7 @@ def symbolic_power_stream(spec, m, max_candidates=None):
     has an exponent above m.  _orbits counts their orbits against
     ``max_candidates`` and streams them.
     """
-    _require_power("m", m)
+    require_int("m", m, 1)
     n, c = spec.n, spec.c
     reps = ((t[0],) * (n - c + 1) + t for t in _partitions(m, c, m))
     return _orbits(n, reps, max_candidates, f"I^({m})({n},{c})")
@@ -319,19 +306,19 @@ def symbolic_power_oracle(spec, m, max_candidates=None):
 
     Independent of symbolic_power; the two must agree.  Before anything is
     built, the binomial(n+1, c) * binomial(m+c-1, c-1) generators of the
-    face-prime powers are counted against ``max_candidates`` (None:
-    DEFAULT_MAX_CANDIDATES), which also bounds each fold's lcm pairs (see
+    face-prime powers are counted against ``max_candidates`` (see
+    budget_limit), which also bounds each fold's lcm pairs (see
     intersect_all).
     """
-    _require_power("m", m)
+    require_int("m", m, 1)
     n, c = spec.n, spec.c
-    limit = DEFAULT_MAX_CANDIDATES if max_candidates is None else max_candidates
+    limit = budget_limit(max_candidates)
     count = comb(n + 1, c) * comb(m + c - 1, c - 1)
     if count > limit:
         raise budget_error(f"the face-prime powers of I^({m})({n},{c}) have "
                            f"{count} generators", limit)
     powers = [p.power_ideal(m) for p in face_primes(spec)]
-    return intersect_all(powers, max_candidates)
+    return intersect_all(powers, limit)
 
 
 def ordinary_power_stream(spec, r, max_candidates=None):
@@ -342,7 +329,7 @@ def ordinary_power_stream(spec, r, max_candidates=None):
     reduction step is needed.  Their representatives are the partitions of
     (n-c+2)*r into n+1 parts of at most r, counted and streamed by _orbits.
     """
-    _require_power("r", r)
+    require_int("r", r, 1)
     n, c = spec.n, spec.c
     return _orbits(n, _partitions((n - c + 2) * r, n + 1, r),
                    max_candidates, f"I({n},{c})^{r}")
@@ -362,7 +349,7 @@ def ordinary_member(spec, r, a):
     generator degree pattern can be carved out of a exactly when the capped
     coordinate sum reaches the required total degree.
     """
-    _require_power("r", r)
+    require_int("r", r, 1)
     if len(a.exps) != spec.n + 1:
         raise _ring_mismatch(spec, a)
     return sum(map(min, a.exps, repeat(r))) >= (spec.n - spec.c + 2) * r

@@ -95,13 +95,13 @@ class ClaimResult:
     wall_time_ms: float = 0.0
 
 
-_REGISTRY = []  # (claim_id, scope, statement, params_range, runner)
+_REGISTRY = []  # ("<scope>/<name>", statement, params_range, runner)
 
 
-def _claim(claim_id, scope, statement, params_range):
+def _claim(claim_id, statement, params_range):
     """Register a runner; params_range is its sweep range template."""
     def register(fn):
-        _REGISTRY.append((claim_id, scope, statement, params_range, fn))
+        _REGISTRY.append((claim_id, statement, params_range, fn))
         return fn
     return register
 
@@ -168,29 +168,29 @@ def _second_symbolic_decomposes(n):
 
 # ---------------------------------------------------------------- triangle
 
-_claim("triangle/symbolic-generator-orbits", "triangle",
+_claim("triangle/symbolic-generator-orbits",
        "minimal generators of I^(m)(2,2) are the permutations of "
        "(m-k, m-k, k) for 0 <= k <= floor(m/2)", "m <= {triangle_gens_m}")(
     lambda bounds: _generator_orbits(2, bounds.triangle_gens_m))
-_claim("triangle/even-symbolic-power-factors", "triangle",
+_claim("triangle/even-symbolic-power-factors",
        "I^(2m)(2,2) = (I^(2)(2,2))^m", "m <= {triangle_m}")(
     lambda bounds: _even_factors(2, bounds.triangle_m))
-_claim("triangle/odd-symbolic-power-factors", "triangle",
+_claim("triangle/odd-symbolic-power-factors",
        "I^(2m+1)(2,2) = I^(2m)(2,2) * I(2,2)", "m <= {triangle_m}")(
     lambda bounds: _odd_factors(2, bounds.triangle_m))
-_claim("triangle/second-symbolic-decomposition", "triangle",
+_claim("triangle/second-symbolic-decomposition",
        "I^(2)(2,2) = I(2,1) + I(2,2)^2", "single identity")(
     lambda bounds: None if _second_symbolic_decomposes(2) else {})
 
 
-@_claim("triangle/product-ideal-in-second-symbolic", "triangle",
+@_claim("triangle/product-ideal-in-second-symbolic",
         "I(2,1) contained in I^(2)(2,2)", "single containment")
 def _run_triangle_e_in_v2(bounds):
     E = simplicial_ideal(SimplicialSpec(2, 1))
     return None if E <= symbolic_power(SimplicialSpec(2, 2), 2) else {}
 
 
-@_claim("triangle/symbolic-powers-cross-containment", "triangle",
+@_claim("triangle/symbolic-powers-cross-containment",
         "I^(m)(2,1) contained in I^(2m)(2,2)", "m <= {triangle_m}")
 def _run_triangle_cross(bounds):
     for m in range(1, bounds.triangle_m + 1):
@@ -201,7 +201,7 @@ def _run_triangle_cross(bounds):
     return None
 
 
-@_claim("triangle/symbolic-step-factorization", "triangle",
+@_claim("triangle/symbolic-step-factorization",
         "I^(m+1)(2,1) contained in I^(2)(2,2) * I^(m)(2,1), itself "
         "contained in I(2,2) * I^(m)(2,1)", "m <= {triangle_m}")
 def _run_triangle_step(bounds):
@@ -217,12 +217,12 @@ def _run_triangle_step(bounds):
     return None
 
 
-_claim("triangle/principal-complete-intersection", "triangle",
+_claim("triangle/principal-complete-intersection",
        "I(2,1)^k = I^(k)(2,1) (principal, complete intersection)",
        "k <= {ci_k}")(lambda bounds: _principal_ci(2, bounds.ci_k))
 
 
-@_claim("triangle/containment-criterion-ceiling-form", "triangle",
+@_claim("triangle/containment-criterion-ceiling-form",
         "containment_criterion(2,2,m,r) iff 2r <= ceil(3m/2)",
         "m,r <= {triangle_grid}")
 def _run_triangle_criterion(bounds):
@@ -237,13 +237,13 @@ def _run_triangle_criterion(bounds):
 
 # ------------------------------------------------------------- tetrahedron
 
-_claim("tetrahedron/edge-symbolic-generator-orbits", "tetrahedron",
+_claim("tetrahedron/edge-symbolic-generator-orbits",
        "minimal generators of I^(m)(3,2) are the permutations of "
        "(m-j, m-j, m-j, j) for 0 <= j <= floor(m/2)", "m <= {tetra_gens_m}")(
     lambda bounds: _generator_orbits(3, bounds.tetra_gens_m))
 
 
-@_claim("tetrahedron/vertex-symbolic-generator-family", "tetrahedron",
+@_claim("tetrahedron/vertex-symbolic-generator-family",
         "the permutations of (m-i-j, m-i-j, i, j) over 2i+j <= m and "
         "i+2j <= m generate I^(m)(3,3); whether that family is irredundant "
         "is recorded, not asserted", "m <= {tetra_gens_m}")
@@ -262,32 +262,32 @@ def _run_tetra_vertex_family(bounds):
     return None, {"family_vs_minimal": irredundant}
 
 
-_claim("tetrahedron/even-symbolic-power-factors", "tetrahedron",
+_claim("tetrahedron/even-symbolic-power-factors",
        "I^(2m)(3,2) = (I^(2)(3,2))^m", "m <= {tetra_m}")(
     lambda bounds: _even_factors(3, bounds.tetra_m))
-_claim("tetrahedron/odd-symbolic-power-factors", "tetrahedron",
+_claim("tetrahedron/odd-symbolic-power-factors",
        "I^(2m+1)(3,2) = I^(2m)(3,2) * I(3,2)", "m <= {tetra_m}")(
     lambda bounds: _odd_factors(3, bounds.tetra_m))
 
 
-@_claim("tetrahedron/third-symbolic-in-square", "tetrahedron",
+@_claim("tetrahedron/third-symbolic-in-square",
         "I^(3)(3,2) contained in I(3,2)^2", "single containment")
 def _run_tetra_third(bounds):
     E = simplicial_ideal(SimplicialSpec(3, 2))
     return None if symbolic_power(SimplicialSpec(3, 2), 3) <= E ** 2 else {}
 
 
-_claim("tetrahedron/second-symbolic-decomposition", "tetrahedron",
+_claim("tetrahedron/second-symbolic-decomposition",
        "I^(2)(3,2) = I(3,1) + I(3,2)^2", "single identity")(
     lambda bounds: None if _second_symbolic_decomposes(3) else {})
-_claim("tetrahedron/principal-complete-intersection", "tetrahedron",
+_claim("tetrahedron/principal-complete-intersection",
        "I(3,1)^k = I^(k)(3,1) (principal, complete intersection)",
        "k <= {ci_k}")(lambda bounds: _principal_ci(3, bounds.ci_k))
 
 
 # ----------------------------------------------------------------- general
 
-@_claim("general/skeleton-inclusion-chain", "general",
+@_claim("general/skeleton-inclusion-chain",
         "I(n,c) contained in I(n,c+1) for 1 <= c < n", "n <= {hierarchy_n}")
 def _run_chain(bounds):
     for n in range(2, bounds.hierarchy_n + 1):
@@ -299,7 +299,7 @@ def _run_chain(bounds):
     return None
 
 
-@_claim("general/second-symbolic-decomposition-codim2", "general",
+@_claim("general/second-symbolic-decomposition-codim2",
         "I^(2)(n,2) = I(n,1) + I(n,2)^2", "2 <= n <= {decomp_n}")
 def _run_codim2_decomp(bounds):
     for n in range(2, bounds.decomp_n + 1):
@@ -308,7 +308,7 @@ def _run_codim2_decomp(bounds):
     return None
 
 
-@_claim("general/containment-criterion-exactness", "general",
+@_claim("general/containment-criterion-exactness",
         "closed-form containment criterion agrees with the brute-force "
         "generator oracle on every cell", "n <= {oracle_n}, m,r <= {oracle_mr}")
 def _run_exactness(bounds):
@@ -326,7 +326,7 @@ def _run_exactness(bounds):
     return None
 
 
-@_claim("general/symbolic-routes-agree", "general",
+@_claim("general/symbolic-routes-agree",
         "criterion-based symbolic power equals the face-prime intersection",
         "n <= {oracle_n}, m <= {routes_m}")
 def _run_routes(bounds):
@@ -338,7 +338,7 @@ def _run_routes(bounds):
     return None
 
 
-@_claim("general/cross-codimension-sufficiency", "general",
+@_claim("general/cross-codimension-sufficiency",
         "c <= d and s*c <= m*d implies I^(m)(n,c) contained in I^(s)(n,d)",
         "c <= d <= n <= {cross_n}, m,s <= {cross_ms}")
 def _run_cross_sound(bounds):
@@ -354,7 +354,7 @@ def _run_cross_sound(bounds):
     return None
 
 
-@_claim("general/sufficiency-not-necessary", "general",
+@_claim("general/sufficiency-not-necessary",
         "I^(3)(3,2) contained in I^(5)(3,3) although s*c <= m*d fails",
         "single instance")
 def _run_cross_not_necessary(bounds):
@@ -364,7 +364,7 @@ def _run_cross_not_necessary(bounds):
     return None if ok else {"oracle": holds, "sufficient": predicted}
 
 
-@_claim("general/multiple-of-codimension-containment", "general",
+@_claim("general/multiple-of-codimension-containment",
         "m = c*r always gives the symbolic-in-ordinary containment",
         "n <= {multiple_n}, r <= {multiple_r}")
 def _run_multiple(bounds):
@@ -375,7 +375,7 @@ def _run_multiple(bounds):
     return None
 
 
-@_claim("general/symbolic-power-multiplicative-inclusion", "general",
+@_claim("general/symbolic-power-multiplicative-inclusion",
         "(I^(a)(n,c))^b contained in I^(a*b)(n,c)",
         "n <= {power_incl_n}, a,b <= {power_incl_ab}")
 def _run_power_incl(bounds):
@@ -390,7 +390,7 @@ def _run_power_incl(bounds):
     return None
 
 
-@_claim("general/filtrations-descend", "general",
+@_claim("general/filtrations-descend",
         "I^(m+1) inside I^(m) and I^(r+1) inside I^r for both power towers",
         "n <= {filtration_n}, m <= {filtration_m}")
 def _run_filtrations(bounds):
@@ -409,7 +409,7 @@ def _run_filtrations(bounds):
     return None
 
 
-@_claim("general/resurgence-strict-bound", "general",
+@_claim("general/resurgence-strict-bound",
         "every noncontained (m, r) has m/r strictly below the resurgence, "
         "and every m/r strictly above it is a containment",
         f"n <= {_RES_N}, box {{res_box}}x{{res_box}}")
@@ -430,7 +430,7 @@ def _run_res_strict(bounds):
     return None
 
 
-@_claim("general/witness-sequence-converges", "general",
+@_claim("general/witness-sequence-converges",
         "witness pairs (kc, floor((n+1)k/(n-c+2))+1) are noncontained with "
         "ratios strictly below the resurgence yet within rho/k of it",
         f"n <= {_RES_N}, k <= {{witness_k}}")
@@ -449,7 +449,7 @@ def _run_witnesses(bounds):
     return None
 
 
-@_claim("general/containment-boundary-consistency", "general",
+@_claim("general/containment-boundary-consistency",
         "the least containing symbolic exponent for each r agrees between "
         "criterion and oracle; the boundary table is recorded as data",
         "n <= {boundary_n}, r <= {boundary_r}")
@@ -472,7 +472,8 @@ def _run_boundary(bounds):
 def claims_in_scope(scope):
     if scope not in SCOPES:
         raise ParameterError(f"scope {scope!r} not one of {SCOPES}")
-    return [entry for entry in _REGISTRY if scope in ("all", entry[1])]
+    return [entry for entry in _REGISTRY
+            if scope in ("all", entry[0].partition("/")[0])]
 
 
 def run_verification(scope, deep=False, bounds=None):
@@ -481,7 +482,7 @@ def run_verification(scope, deep=False, bounds=None):
         bounds = DEEP_BOUNDS if deep else DEFAULT_BOUNDS
     results = []
     fields = vars(bounds)
-    for claim_id, _, statement, params_range, fn in claims_in_scope(scope):
+    for claim_id, statement, params_range, fn in claims_in_scope(scope):
         t0 = time.perf_counter()
         outcome = fn(bounds)
         elapsed = (time.perf_counter() - t0) * 1000.0

@@ -323,6 +323,10 @@ def test_usage_errors_exit_two(capsys):
     code, _, err = run_cli(capsys, "gens", "--n", "2", "--c", "2",
                            "--symbolic", "0")
     assert code == 2
+    # the error names the box, not a parameter the user never passed
+    code, _, err = run_cli(capsys, "resurgence", "--n", "2", "--c", "2",
+                           "--box", "0", "5")
+    assert code == 2 and err == "error: box M=0 must be >= 1\n"
 
 
 def test_budget_errors_exit_three(capsys):

@@ -227,7 +227,7 @@ def test_resurgence_report_budget():
     with pytest.raises(BudgetExceededError, match="^box M=11 sweeps 11 "):
         resurgence_report(2, 2, box=(11, 5), max_candidates=10)
     with pytest.raises(ParameterError,
-                       match="^witness_count must be >= 0, got -1$"):
+                       match="^witness_count=-1 must be >= 0$"):
         resurgence_report(2, 2, witness_count=-1)
     # the counts are checked first, before (n, c)
     with pytest.raises(BudgetExceededError):

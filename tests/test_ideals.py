@@ -311,8 +311,7 @@ def test_generator_dimension_checked():
     for bad in (2.0, 2.5, "2", True):
         with pytest.raises(ParameterError, match="must be an integer"):
             MonomialIdeal(bad, [Monomial((1, 0, 0))])
-    with pytest.raises(ParameterError,
-                       match="^ambient dimension n=0 must be >= 1$"):
+    with pytest.raises(ParameterError, match="^n=0 must be >= 1$"):
         MonomialIdeal(0)
 
 

@@ -15,10 +15,10 @@ from simplicial_ideals.verification import (
 
 def test_registry_shape():
     all_claims = claims_in_scope("all")
-    ids = [cid for cid, _, _, _, _ in all_claims]
+    ids = [cid for cid, _, _, _ in all_claims]
     assert len(ids) == len(set(ids))
     assert all("/" in cid for cid in ids)
-    for _, _, _, params_range, runner in all_claims:
+    for _, _, params_range, runner in all_claims:
         params_range.format(**vars(DEFAULT_BOUNDS))
         assert callable(runner)
     per_scope = sum(len(claims_in_scope(s)) for s in SCOPES if s != "all")
