@@ -28,7 +28,8 @@ from .simplicial import (
     symbolic_member_detail,
     symbolic_power_stream,
 )
-from .verification import SCOPES, results_to_records, run_verification, summary_lines
+from .verification import (DEEP_BOUNDS, DEFAULT_BOUNDS, SCOPES, results_to_records,
+                           run_verification, summary_lines)
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
@@ -42,8 +43,6 @@ def _dumps(payload):
 
 
 def _bool_text(value):
-    if value is None:
-        return "n/a"
     return "true" if value else "false"
 
 
@@ -196,7 +195,8 @@ def _cmd_resurgence(args, config):
 
 
 def _cmd_verify(args, config):
-    results = run_verification(args.scope, deep=config.deep)
+    results = run_verification(
+        args.scope, DEEP_BOUNDS if config.deep else DEFAULT_BOUNDS)
     records = results_to_records(results, include_times=args.timings)
     failed = sum(1 for res in results if res.status != "pass")
     payload = {"scope": args.scope, "deep": config.deep,

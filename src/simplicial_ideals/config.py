@@ -7,9 +7,9 @@ or ``--config``), then built-in defaults.  The file format is flat
 """
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
-from .errors import DEFAULT_MAX_CANDIDATES, ParameterError
+from .errors import DEFAULT_MAX_CANDIDATES, ParameterError, require_int
 
 ENV_PREFIX = "SIDEAL_"
 
@@ -22,22 +22,21 @@ class CliConfig:
     deep: bool = False
 
 
-_INT_FIELDS = {"max_candidates"}
-_BOOL_FIELDS = {"deep"}
-_STR_FIELDS = {"format"}
-_ALL_FIELDS = _INT_FIELDS | _BOOL_FIELDS | _STR_FIELDS
+_KEYS = {f.name for f in fields(CliConfig)}
 
 
 def _coerce(key, raw):
-    if key in _INT_FIELDS:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ParameterError(f"config key {key}: expected integer, got {raw!r}")
-        if value <= 0:
-            raise ParameterError(f"config key {key}: must be positive, got {value}")
-        return value
-    if key in _BOOL_FIELDS:
+    """The value of config key ``key`` given as ``raw``: a string from a
+    file or the environment, or a value from a flag or library override."""
+    if key == "max_candidates":
+        if isinstance(raw, str):
+            try:
+                raw = int(raw)
+            except ValueError:
+                raise ParameterError(f"config key {key}: expected integer, got {raw!r}")
+        require_int(key, raw, 1)
+        return raw
+    if key == "deep":
         lowered = str(raw).strip().lower()
         if lowered in ("1", "true", "yes", "on"):
             return True
@@ -68,7 +67,7 @@ def parse_config_file(path):
                 f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _ALL_FIELDS:
+        if key not in _KEYS:
             raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
         settings[key] = _coerce(key, raw.strip())
     return settings
@@ -77,7 +76,7 @@ def parse_config_file(path):
 def _env_settings(environ):
     """Settings from SIDEAL_<KEY> variables.  Any other SIDEAL_* variable
     but SIDEAL_CONFIG is an error, as an unknown key in a file is."""
-    keys = {ENV_PREFIX + key.upper(): key for key in _ALL_FIELDS}
+    keys = {ENV_PREFIX + key.upper(): key for key in _KEYS}
     settings = {}
     # iterate names only: os.environ decodes each value it yields
     for name in environ:

@@ -2,16 +2,17 @@
 
 A monomial in K[x_0, ..., x_n] is stored as its exponent vector, a tuple of
 n+1 non-negative ints (index i <-> variable x_i, so the ambient n is
-``len - 1``).  Exponents are Python ints, so nothing overflows; a float or
-a string exponent raises TypeError rather than being truncated.  Instances
-are immutable and hashable.
+``len - 1``).  Exponents are Python ints, so nothing overflows; each passes
+``require_int``, so a bool, float, string or NumPy exponent raises
+ParameterError rather than being converted.  Instances are immutable and
+hashable.
 
 The total order used for all deterministic listings is graded lexicographic:
 compare by total degree first, then by the exponent tuple.
 """
 
 import re
-from operator import add, index
+from operator import add
 
 from .errors import DimensionError, MonomialParseError, require_int
 
@@ -32,12 +33,12 @@ class Monomial:
     __slots__ = ("exps",)
 
     def __init__(self, exps):
-        exps = tuple(map(index, exps))
+        exps = tuple(exps)
         if len(exps) < 2:
             raise DimensionError(
                 f"monomial needs at least 2 variables, got length {len(exps)}")
-        if any(e < 0 for e in exps):
-            raise ValueError(f"negative exponent in {exps}")
+        for e in exps:
+            require_int("exponent", e, 0)
         self.exps = exps
 
     @classmethod

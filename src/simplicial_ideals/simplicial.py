@@ -92,8 +92,8 @@ def simplicial_ideal_stream(spec, max_candidates=None):
     (0,)*(c-1); _orbits counts them against ``max_candidates``.
     """
     n, c = spec.n, spec.c
-    return _orbits(n, [(1,) * (n + 2 - c) + (0,) * (c - 1)],
-                   max_candidates, f"I({n},{c})")
+    return _orbits([(1,) * (n + 2 - c) + (0,) * (c - 1)], max_candidates,
+                   f"I({n},{c})")
 
 
 def simplicial_ideal(spec, max_candidates=None):
@@ -199,10 +199,10 @@ def _orbit_size(rep):
 _BLOCK = 1024
 
 
-def _orbits(n, reps, max_candidates, name):
+def _orbits(reps, max_candidates, name):
     """(count, stream) for the ideal ``name`` minimally generated by the
-    coordinate permutations of ``reps``, weakly decreasing tuples of n+1
-    ints whose orbits together form an antichain.
+    coordinate permutations of ``reps``, weakly decreasing int tuples of
+    one length whose orbits together form an antichain.
 
     ``count`` is the number of generators, the sum of the orbit sizes.
     BudgetExceededError is raised, before any generator is built, as soon
@@ -290,7 +290,7 @@ def symbolic_power_stream(spec, m, max_candidates=None):
     require_int("m", m, 1)
     n, c = spec.n, spec.c
     reps = ((t[0],) * (n - c + 1) + t for t in _partitions(m, c, m))
-    return _orbits(n, reps, max_candidates, f"I^({m})({n},{c})")
+    return _orbits(reps, max_candidates, f"I^({m})({n},{c})")
 
 
 def symbolic_power(spec, m, max_candidates=None):
@@ -331,8 +331,8 @@ def ordinary_power_stream(spec, r, max_candidates=None):
     """
     require_int("r", r, 1)
     n, c = spec.n, spec.c
-    return _orbits(n, _partitions((n - c + 2) * r, n + 1, r),
-                   max_candidates, f"I({n},{c})^{r}")
+    return _orbits(_partitions((n - c + 2) * r, n + 1, r), max_candidates,
+                   f"I({n},{c})^{r}")
 
 
 def ordinary_power_min_gens(spec, r, max_candidates=None):

@@ -476,10 +476,9 @@ def claims_in_scope(scope):
             if scope in ("all", entry[0].partition("/")[0])]
 
 
-def run_verification(scope, deep=False, bounds=None):
-    """Run every claim in scope; returns a list of ClaimResult, registry order."""
-    if bounds is None:
-        bounds = DEEP_BOUNDS if deep else DEFAULT_BOUNDS
+def run_verification(scope, bounds=DEFAULT_BOUNDS):
+    """Run every claim in scope at ``bounds`` (DEFAULT_BOUNDS or DEEP_BOUNDS,
+    say); returns a list of ClaimResult, registry order."""
     results = []
     fields = vars(bounds)
     for claim_id, statement, params_range, fn in claims_in_scope(scope):

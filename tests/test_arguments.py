@@ -47,6 +47,9 @@ INT_PARAMETERS = {
     "MonomialIdeal.from_lists n": lambda x: MonomialIdeal.from_lists(x, []),
     "MonomialIdeal ** r": lambda x: IDEAL ** x,
     "Monomial.parse n": lambda x: Monomial.parse("x0", x),
+    "Monomial exponent": lambda x: Monomial((x, 0, 0)),
+    "MonomialIdeal.from_lists exponent":
+        lambda x: MonomialIdeal.from_lists(2, [[0, x, 0]]),
     "symbolic_member m": lambda x: si.symbolic_member(SPEC, x, UNIT),
     "symbolic_member_detail m":
         lambda x: symbolic_member_detail(SPEC, x, UNIT),
@@ -90,6 +93,8 @@ INT_PARAMETERS = {
         lambda x: si.resurgence_report(2, 2, box=(x, 5)),
     "resurgence_report box R":
         lambda x: si.resurgence_report(2, 2, box=(5, x)),
+    "load_config max_candidates":
+        lambda x: si.load_config(environ={}, overrides={"max_candidates": x}),
 }
 
 

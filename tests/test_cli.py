@@ -252,6 +252,11 @@ def test_resurgence_output(capsys):
                            "--box", "9999", "9999")
     assert code == 0
     assert out.endswith("sup 9998/7499 at m=9998, r=7499\n")
+    # a box with no noncontained pair has no supremum
+    code, out, _ = run_cli(capsys, "resurgence", "--n", "2", "--c", "2",
+                           "--box", "1", "1")
+    assert code == 0
+    assert out.endswith("box m <= 1, r <= 1: no noncontained pairs\n")
 
 
 def test_resurgence_json(capsys):
@@ -263,6 +268,12 @@ def test_resurgence_json(capsys):
     assert payload["witnesses"][-1] == [5, 10, 8, "5/4"]
     assert payload["empirical_sup"] == "5/4"
     assert payload["empirical_argmax"] == [10, 8]
+    code, out, _ = run_cli(capsys, "resurgence", "--n", "2", "--c", "2",
+                           "--box", "1", "1", "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["box"] == [1, 1]
+    assert payload["empirical_sup"] is None
+    assert payload["empirical_argmax"] is None
 
 
 def test_verify_text(capsys):
@@ -308,7 +319,7 @@ def test_verify_failing_claim_exits_one(capsys, monkeypatch):
         claim_id="demo/failing", statement="demo", params_range="m <= 1",
         status="fail", counterexample={"m": 1}, detail=None, wall_time_ms=0.0)
     monkeypatch.setattr("simplicial_ideals.cli.run_verification",
-                        lambda scope, deep=False: [failing])
+                        lambda scope, bounds: [failing])
     code, out, _ = run_cli(capsys, "verify", "all")
     assert code == 1
     assert "FAIL  demo/failing" in out

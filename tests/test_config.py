@@ -66,6 +66,15 @@ def test_env_variables(tmp_path):
     path = tmp_path / "sideal.conf"
     path.write_text("deep = yes\n")
     assert load_config(environ={"SIDEAL_CONFIG": str(path)}).deep
+    # every false spelling, in any case, from the environment (over the
+    # file's yes) and from a file
+    for spelling in ("0", "false", "No", "OFF"):
+        assert not load_config(environ={"SIDEAL_CONFIG": str(path),
+                                        "SIDEAL_DEEP": spelling}).deep
+    for spelling in ("0", "false", "No", "OFF"):
+        other = tmp_path / f"{spelling}.conf"
+        other.write_text(f"deep = {spelling}\n")
+        assert parse_config_file(other) == {"deep": False}
 
 
 def test_precedence_flags_env_file(tmp_path):
@@ -89,8 +98,13 @@ def test_precedence_flags_env_file(tmp_path):
 
 
 def test_override_validation():
-    with pytest.raises(ParameterError, match="must be positive, got -1$"):
-        load_config(environ={}, overrides={"max_candidates": -1})
+    # a budget that is not a string is never converted: int(2.7) == 2 and
+    # True == 1, but neither is a budget
+    for bad, message in ((-1, "=-1 must be >= 1$"),
+                         (2.7, "=2.7 must be an integer, not float$"),
+                         (True, "=True must be an integer, not a bool$")):
+        with pytest.raises(ParameterError, match="^max_candidates" + message):
+            load_config(environ={}, overrides={"max_candidates": bad})
     with pytest.raises(ParameterError, match="unknown config key 'no_such_key'"):
         load_config(environ={}, overrides={"no_such_key": 1})
     with pytest.raises(ParameterError, match="expected text or json"):

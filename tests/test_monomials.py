@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from simplicial_ideals import DimensionError, Monomial, MonomialIdeal, MonomialParseError
+from simplicial_ideals import (DimensionError, Monomial, MonomialIdeal,
+                               MonomialParseError, ParameterError)
 
 exp_vectors = st.lists(st.integers(min_value=0, max_value=9),
                        min_size=2, max_size=6).map(tuple)
@@ -30,16 +31,17 @@ def test_constructor_examples():
 def test_constructor_rejects_bad_input():
     with pytest.raises(DimensionError):
         Monomial((3,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError, match="^exponent=-1 must be >= 0$"):
         Monomial((1, -1))
 
 
 def test_constructor_rejects_non_integer_exponents():
-    # int() would truncate 1.7 to 1 and parse '3'; neither is an exponent
-    for bad in ([1.7, 2], ['3', 4], [2.0, 1]):
-        with pytest.raises(TypeError):
+    # int() would truncate 1.7 to 1 and parse '3', and True == 1; none of
+    # them is an exponent
+    for bad in ([1.7, 2], ['3', 4], [2.0, 1], [True, 0]):
+        with pytest.raises(ParameterError):
             Monomial(bad)
-        with pytest.raises(TypeError):
+        with pytest.raises(ParameterError):
             MonomialIdeal.from_lists(1, [bad])
 
 

@@ -127,6 +127,14 @@ def test_face_prime_needs_two_variables():
                          (2, (0.0, 1)), (2, (0, True)), (2, ("1",))):
         with pytest.raises(ParameterError, match="must be an integer"):
             FacePrime(n, variables)
+    # which are distinct indices 0..n, at least one of them
+    for variables, message in (
+            ((), "^face prime needs at least one variable$"),
+            ((1, 1), r"^repeated variable in \(1, 1\)$"),
+            ((0, 3), r"^variable index out of range 0\.\.2 in \(0, 3\)$"),
+            ((-1,), r"^variable index out of range 0\.\.2 in \(-1,\)$")):
+        with pytest.raises(ParameterError, match=message):
+            FacePrime(2, variables)
 
 
 @pytest.mark.parametrize("n,c", ALL_SPECS_3)
