@@ -37,7 +37,9 @@ def _coerce(key, raw):
         require_int(key, raw, 1)
         return raw
     if key == "deep":
-        lowered = str(raw).strip().lower()
+        if type(raw) is bool:
+            return raw
+        lowered = raw.strip().lower() if isinstance(raw, str) else None
         if lowered in ("1", "true", "yes", "on"):
             return True
         if lowered in ("0", "false", "no", "off"):
@@ -51,7 +53,8 @@ def _coerce(key, raw):
 
 
 def parse_config_file(path):
-    """Read ``key = value`` pairs from a file.  Unknown keys are errors."""
+    """Read ``key = value`` pairs from a file.  Unknown keys and bad values
+    are errors that name the file and line."""
     settings = {}
     try:
         with open(path) as fh:
@@ -69,7 +72,10 @@ def parse_config_file(path):
         key = key.strip()
         if key not in _KEYS:
             raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
-        settings[key] = _coerce(key, raw.strip())
+        try:
+            settings[key] = _coerce(key, raw.strip())
+        except ParameterError as exc:
+            raise ParameterError(f"{path}:{lineno}: {exc}") from None
     return settings
 
 

@@ -18,9 +18,9 @@ from fractions import Fraction
 from .errors import ParameterError, budget_error, budget_limit, require_int
 from .simplicial import (
     SimplicialSpec,
-    ordinary_member,
-    symbolic_member,
-    symbolic_power,
+    _ordinary_test,
+    _symbolic_test,
+    symbolic_power_stream,
 )
 
 
@@ -52,11 +52,13 @@ def containment_criterion(n, c, m, r):
 
 def containment_oracle(n, c, m, r, max_candidates=None):
     """Decide the same containment by brute force: every minimal generator
-    of the symbolic power must pass the ordinary-power membership test."""
+    of the symbolic power must pass the ordinary-power membership test.
+    They are counted against ``max_candidates``, then tested as they stream,
+    so a noncontainment stops at its first failing generator."""
     spec = SimplicialSpec(n, c)
-    require_int("r", r, 1)  # symbolic_power checks m
-    sym = symbolic_power(spec, m, max_candidates=max_candidates)
-    return all(ordinary_member(spec, r, g) for g in sym.gens)
+    require_int("r", r, 1)
+    _, stream = symbolic_power_stream(spec, m, max_candidates)
+    return all(map(_ordinary_test(spec, r), stream))
 
 
 def symbolic_containment_sufficient(c, d, m, s):
@@ -74,13 +76,14 @@ def symbolic_containment_oracle(n, c, d, m, s, max_candidates=None):
     """Decide the cross-codimension symbolic containment from the generators.
 
     Membership in the target symbolic power is the closed-form d-subset test,
-    so only the source ideal is ever enumerated.
+    so only the source ideal is enumerated, and streamed as in
+    containment_oracle.
     """
     src = SimplicialSpec(n, c)
     dst = SimplicialSpec(n, d)
-    require_int("s", s, 1)  # symbolic_power checks m
-    sym = symbolic_power(src, m, max_candidates=max_candidates)
-    return all(symbolic_member(dst, s, g) for g in sym.gens)
+    require_int("s", s, 1)
+    _, stream = symbolic_power_stream(src, m, max_candidates)
+    return all(map(_symbolic_test(dst, s), stream))
 
 
 def resurgence(n, c):

@@ -40,8 +40,7 @@ def budget_error(what, limit):
 
 def require_int(name, value, least=None):
     """Reject ``value`` unless its type is exactly int and, given ``least``,
-    it is at least ``least``.  The membership tests call this per
-    generator, so an int is tested first and returns at once."""
+    it is at least ``least``."""
     if type(value) is int:
         if least is None or value >= least:
             return

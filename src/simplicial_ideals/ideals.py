@@ -6,15 +6,18 @@ order so that equal ideals always serialize identically.  The empty generator
 set is the zero ideal; the set {1} is the unit ideal.  All operations return
 new canonical ideals.
 
-Sum, product and intersection work on raw exponent tuples from start to end:
-they form their candidates column-wise as tuples, ``_reduce_to_antichain``
-takes tuples and returns the minimal ones, and ``_from_candidates`` wraps
-only those in ``Monomial``.  The public constructor validates its monomials
-and then takes the same path.  The intersection prunes both operands first:
-a generator g of either ideal that lies in the other is a minimal generator
-of the intersection, since whatever in the intersection divides g lies in
-g's own ideal, whose generators form an antichain.  So g is kept as it is,
-and it forms no lcm: each of its lcms is a multiple of it.
+An ideal keeps its antichain as exponent tuples, and every operation works
+on them from start to end: sum, product and intersection form their
+candidates column-wise as tuples, ``_reduce_to_antichain`` takes tuples and
+returns the minimal ones, and the ideal keeps those.  The public constructor
+validates its monomials and then takes the same path.  ``gens`` wraps the
+tuples in ``Monomial`` only when someone asks for them.
+
+The intersection prunes both operands first: a generator g of either ideal
+that lies in the other is a minimal generator of the intersection, since
+whatever in the intersection divides g lies in g's own ideal, whose
+generators form an antichain.  So g is kept as it is, and it forms no lcm:
+each of its lcms is a multiple of it.
 
 Every batch of divisibility tests -- reduction to the antichain, containment
 ``<=`` and the intersection's pruning -- goes through one structure,
@@ -30,12 +33,10 @@ so the masks never grow with the size of an exponent.
 
 from bisect import bisect_right
 from itertools import accumulate, chain, compress, count, filterfalse, repeat
-from operator import add, attrgetter, getitem, le, lshift, not_, or_
+from operator import add, getitem, le, lshift, not_, or_
 
 from .errors import DimensionError, ParameterError, budget_error, budget_limit, require_int
-from .monomials import Monomial
-
-_exps = attrgetter("exps")
+from .monomials import Monomial, exps_text
 
 # The largest entry an index keeps one mask per value for: past it, a value
 # axis of top+1 masks per coordinate would cost more than ranking the entries.
@@ -115,9 +116,9 @@ def _compact(*lists):
 
 
 def _divisible(width, queries, divisors):
-    """For each tuple of the list ``queries``, lazily, whether some tuple of
-    the list ``divisors`` divides it.  A query entry above every divisor's
-    is clamped, so only a large divisor entry calls for ranks."""
+    """For each tuple of the sequence ``queries``, lazily, whether some tuple
+    of the sequence ``divisors`` divides it.  A query entry above every
+    divisor's is clamped, so only a large divisor entry calls for ranks."""
     if max(chain.from_iterable(divisors), default=0) > _DENSE_TOP:
         queries, divisors = _compact(queries, divisors)
     return map(_DivisorIndex(width, divisors).has_divisor, queries)
@@ -128,7 +129,8 @@ def _reduce_to_antichain(tuples):
     list in descending graded-lex order.
 
     Tuples in, tuples out: callers form their candidates as raw exponent
-    tuples and wrap only the kept ones (``MonomialIdeal._from_candidates``).
+    tuples, and the ideal keeps the minimal ones as they are
+    (``MonomialIdeal._from_candidates``).
     The intersection's candidates include the generators it pruned; those
     are minimal already (see the module docstring), and the sweep keeps
     them as it keeps any tuple that no other divides.
@@ -179,7 +181,8 @@ def _reduce_to_antichain(tuples):
 
 
 class MonomialIdeal:
-    __slots__ = ("n", "gens")
+    # _exps: the minimal generators' exponent tuples, in canonical order
+    __slots__ = ("n", "_exps")
 
     def __init__(self, n, gens=()):
         require_int("n", n, 1)
@@ -188,7 +191,8 @@ class MonomialIdeal:
             if len(g.exps) != n + 1:
                 raise DimensionError(
                     f"generator {g!r} has ambient n={g.n}, ideal has n={n}")
-        self._adopt(n, _reduce_to_antichain(map(_exps, gens)))
+        self.n = n
+        self._exps = tuple(_reduce_to_antichain([g.exps for g in gens]))
 
     @classmethod
     def _from_candidates(cls, n, tuples):
@@ -202,12 +206,15 @@ class MonomialIdeal:
         # exponent vectors of length n+1, already in descending graded-lex
         # order, so neither the sweep nor a sort is needed
         self = object.__new__(cls)
-        self._adopt(n, tuples)
+        self.n = n
+        self._exps = tuple(tuples)
         return self
 
-    def _adopt(self, n, tuples):
-        self.n = n
-        self.gens = tuple(map(Monomial._trusted, tuples))
+    @property
+    def gens(self):
+        """The minimal generators as Monomials, in descending graded-lex
+        order.  Each access builds them anew from the exponent tuples."""
+        return tuple(map(Monomial._trusted, self._exps))
 
     def _check_same_ring(self, other):
         if self.n != other.n:
@@ -220,22 +227,21 @@ class MonomialIdeal:
                 f"monomial with ambient n={mono.n}, ideal has n={self.n}")
         # one query would not pay back an index build: scan the generators
         a = mono.exps
-        return any(all(map(le, g.exps, a)) for g in self.gens)
+        return any(all(map(le, g, a)) for g in self._exps)
 
     __contains__ = contains
 
     def __add__(self, other):
         self._check_same_ring(other)
-        return MonomialIdeal._from_candidates(
-            self.n, map(_exps, self.gens + other.gens))
+        return MonomialIdeal._from_candidates(self.n, self._exps + other._exps)
 
     def __mul__(self, other):
         self._check_same_ring(other)
         # column-wise: coordinate i of g*h is g_i + h_i for every h at once,
         # and a zero g_i leaves the column as it is
-        columns = list(zip(*map(_exps, other.gens)))
+        columns = list(zip(*other._exps))
         products = set()
-        for g in map(_exps, self.gens):
+        for g in self._exps:
             products.update(zip(*[map(add, repeat(e), column) if e else column
                                   for e, column in zip(g, columns)]))
         return MonomialIdeal._from_candidates(self.n, products)
@@ -257,8 +263,7 @@ class MonomialIdeal:
     def intersect(self, other):
         self._check_same_ring(other)
         width = self.n + 1
-        mine = list(map(_exps, self.gens))
-        theirs = list(map(_exps, other.gens))
+        mine, theirs = self._exps, other._exps
         # a generator that lies in the other ideal is kept as a minimal
         # generator (see the module docstring); only the pairs of generators
         # outside each other's ideal form lcms
@@ -286,33 +291,32 @@ class MonomialIdeal:
     def __le__(self, other):
         """Containment self <= other: every generator of self lies in other."""
         self._check_same_ring(other)
-        return all(_divisible(self.n + 1, list(map(_exps, self.gens)),
-                              list(map(_exps, other.gens))))
+        return all(_divisible(self.n + 1, self._exps, other._exps))
 
     def __eq__(self, other):
         if not isinstance(other, MonomialIdeal):
             return NotImplemented
-        return self.n == other.n and self.gens == other.gens
+        return self.n == other.n and self._exps == other._exps
 
     def __hash__(self):
-        return hash((self.n, self.gens))
+        return hash((self.n, self._exps))
 
     # serialization -- both forms are byte-stable because gens are canonical
 
     def to_text(self):
         """One generator per line in canonical text form."""
-        return "".join(f"{g}\n" for g in self.gens)
+        return "".join(f"{exps_text(g)}\n" for g in self._exps)
 
     def to_lists(self):
         """Generators as a list of exponent lists (JSON-ready)."""
-        return [list(g.exps) for g in self.gens]
+        return list(map(list, self._exps))
 
     @classmethod
     def from_lists(cls, n, lists):
         return cls(n, (Monomial(e) for e in lists))
 
     def __repr__(self):
-        body = ", ".join(str(g) for g in self.gens)
+        body = ", ".join(map(exps_text, self._exps))
         return f"MonomialIdeal(n={self.n}, <{body}>)"
 
 
@@ -330,7 +334,7 @@ def intersect_all(ideals, max_candidates=None):
     limit = budget_limit(max_candidates)
     acc = ideals[0]
     for other in ideals[1:]:
-        pairs = len(acc.gens) * len(other.gens)
+        pairs = len(acc._exps) * len(other._exps)
         if pairs > limit:
             raise budget_error(f"an intersection fold forms {pairs} lcm pairs",
                                limit)

@@ -47,10 +47,10 @@ class Monomial:
 
         ``exps`` must already be a tuple of at least 2 non-negative ints.
         Only package code whose tuple holds that by construction may call
-        this: ``__mul__`` and ``lcm``, and ``MonomialIdeal._adopt``, which
-        wraps the generators of every ideal the package builds: the minimal
-        tuples among validated exponent vectors of one ring, or their sums
-        and maxima; the face-prime powers (compositions of m placed in
+        this: ``__mul__`` and ``lcm``, and ``MonomialIdeal.gens``, which
+        wraps the exponent tuples every ideal keeps: the minimal tuples
+        among validated exponent vectors of one ring, or their sums and
+        maxima; the face-prime powers (compositions of m placed in
         n+1 >= 2 coordinates); and the stream of ``simplicial._orbits``.
         Input from users goes through ``__init__``, which validates it.
         """

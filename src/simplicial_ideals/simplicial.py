@@ -22,7 +22,8 @@ canonical descending graded-lex order, holding the representatives and at
 most ``_BLOCK`` generators at a time.
 The ``*_stream`` functions return that (count, stream) pair, which
 ``sideal gens`` writes out row by row; the builders wrap the same stream
-in a MonomialIdeal.
+in a MonomialIdeal, and the containment oracles map one exponent-tuple
+membership test (``_ordinary_test``, ``_symbolic_test``) over it.
 """
 
 from dataclasses import dataclass
@@ -107,10 +108,20 @@ def face_primes(spec):
     return [FacePrime(spec.n, sub) for sub in combinations(range(spec.n + 1), spec.c)]
 
 
-def _ring_mismatch(spec, a):
-    """The error for a monomial outside the ring of spec.  The membership
-    tests, which the oracles call per generator, check the length inline."""
-    return DimensionError(f"monomial has ambient n={a.n}, spec has n={spec.n}")
+def _ring_exps(spec, a):
+    """The exponent tuple of the monomial ``a``, which must lie in the ring
+    of spec."""
+    if a.n != spec.n:
+        raise DimensionError(f"monomial has ambient n={a.n}, spec has n={spec.n}")
+    return a.exps
+
+
+def _symbolic_test(spec, m):
+    """The exponent-tuple test for the m-th symbolic power of I(n,c), built
+    once per query: the c smallest entries sum to >= m.  The oracles map it
+    over a generator stream; callers check m and the tuples' length."""
+    c = spec.c
+    return lambda exps: sum(sorted(exps)[:c]) >= m
 
 
 def symbolic_member(spec, m, a):
@@ -121,16 +132,14 @@ def symbolic_member(spec, m, a):
     replaces the binomial(n+1, c) subset scan.
     """
     require_int("m", m, 1)
-    if len(a.exps) != spec.n + 1:
-        raise _ring_mismatch(spec, a)
-    return sum(sorted(a.exps)[:spec.c]) >= m
+    return _symbolic_test(spec, m)(_ring_exps(spec, a))
 
 
 def symbolic_member_detail(spec, m, a):
     """symbolic_member with its binding constraint: (member, subset,
     subset_sum), subset the first c-subset in lexicographic order with the
-    least exponent sum.  symbolic_member, on the oracles' per-generator
-    path, skips the index sort this needs.
+    least exponent sum.  Only this explanation pays for the index sort; the
+    verdict, as the oracles' _symbolic_test, sorts the entries alone.
     """
     member = symbolic_member(spec, m, a)
     exps = a.exps
@@ -342,6 +351,15 @@ def ordinary_power_min_gens(spec, r, max_candidates=None):
     return MonomialIdeal._from_canonical(spec.n, stream)
 
 
+def _ordinary_test(spec, r):
+    """The exponent-tuple test for I(n,c)^r, built once per query: the
+    entries capped at r sum to >= (n-c+2)*r.  The oracle and the
+    criterion-exactness claim map it over a generator stream; callers check
+    r and the tuples' length."""
+    required = (spec.n - spec.c + 2) * r
+    return lambda exps: sum(map(min, exps, repeat(r))) >= required
+
+
 def ordinary_member(spec, r, a):
     """Membership of x^a in I(n,c)^r without building the power.
 
@@ -350,9 +368,7 @@ def ordinary_member(spec, r, a):
     coordinate sum reaches the required total degree.
     """
     require_int("r", r, 1)
-    if len(a.exps) != spec.n + 1:
-        raise _ring_mismatch(spec, a)
-    return sum(map(min, a.exps, repeat(r))) >= (spec.n - spec.c + 2) * r
+    return _ordinary_test(spec, r)(_ring_exps(spec, a))
 
 
 def ordinary_member_detail(spec, r, a):

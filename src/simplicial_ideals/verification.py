@@ -33,10 +33,11 @@ from .ideals import MonomialIdeal
 from .monomials import Monomial
 from .simplicial import (
     SimplicialSpec,
-    ordinary_member,
+    _ordinary_test,
     simplicial_ideal,
     symbolic_power,
     symbolic_power_oracle,
+    symbolic_power_stream,
 )
 
 
@@ -312,14 +313,15 @@ def _run_codim2_decomp(bounds):
         "closed-form containment criterion agrees with the brute-force "
         "generator oracle on every cell", "n <= {oracle_n}, m,r <= {oracle_mr}")
 def _run_exactness(bounds):
+    # containment_oracle's test, with each I^(m) listed once for every r
     top_mr = bounds.oracle_mr
     for n, c in _specs_up_to(bounds.oracle_n):
         spec = SimplicialSpec(n, c)
         for m in range(1, top_mr + 1):
-            sym = symbolic_power(spec, m)
+            gens = list(symbolic_power_stream(spec, m)[1])
             for r in range(1, top_mr + 1):
                 fast = containment_criterion(n, c, m, r)
-                slow = all(ordinary_member(spec, r, g) for g in sym.gens)
+                slow = all(map(_ordinary_test(spec, r), gens))
                 if fast != slow:
                     return {"n": n, "c": c, "m": m, "r": r,
                             "fast": fast, "oracle": slow}

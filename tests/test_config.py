@@ -1,6 +1,7 @@
 import pytest
 
 from simplicial_ideals import CliConfig, ParameterError, load_config
+from simplicial_ideals.cli import main
 from simplicial_ideals.config import parse_config_file
 
 
@@ -28,7 +29,7 @@ def test_config_file(tmp_path):
     assert config.deep
 
 
-def test_config_file_errors(tmp_path):
+def test_config_file_errors(tmp_path, capsys):
     path = tmp_path / "bad.conf"
     path.write_text("no equals sign\n")
     with pytest.raises(ParameterError):
@@ -45,6 +46,24 @@ def test_config_file_errors(tmp_path):
         parse_config_file(path)
     with pytest.raises(ParameterError):
         parse_config_file(tmp_path / "missing.conf")
+    # a bad value names its file and line, as an unknown key does
+    for line, message in (
+            ("max_candidates = 0", "max_candidates=0 must be >= 1"),
+            ("max_candidates = lots",
+             "config key max_candidates: expected integer, got 'lots'"),
+            ("deep = maybe", "config key deep: expected boolean, got 'maybe'"),
+            ("format = xml",
+             "config key format: expected text or json, got 'xml'")):
+        path.write_text(f"# header\n{line}\n")
+        with pytest.raises(ParameterError) as info:
+            parse_config_file(path)
+        assert str(info.value) == f"{path}:2: {message}"
+    # and the CLI prints it as its usage error
+    path.write_text("format = text\nmax_candidates = 0\n")
+    assert main(["gens", "--n", "2", "--c", "2", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}:2: max_candidates=0 must be >= 1\n"
 
 
 def test_env_variables(tmp_path):
@@ -110,5 +129,12 @@ def test_override_validation():
     with pytest.raises(ParameterError, match="expected text or json"):
         load_config(environ={}, overrides={"format": "xml"})
     assert load_config(environ={}, overrides={"deep": True}).deep
+    assert not load_config(environ={}, overrides={"deep": False}).deep
+    # an override that is not a string must be a bool: 1 == True and
+    # str(1) reads as a boolean word, but neither makes it one
+    for bad in (1, 0, 1.0, [], b"yes", "maybe"):
+        with pytest.raises(ParameterError) as info:
+            load_config(environ={}, overrides={"deep": bad})
+        assert str(info.value) == f"config key deep: expected boolean, got {bad!r}"
     # None means unset, not an override
     assert load_config(environ={}, overrides={"format": None}).format == "text"

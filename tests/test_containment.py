@@ -8,12 +8,14 @@ from _brute import brute_resurgence_sup, brute_symbolic_gens
 from simplicial_ideals import (
     BudgetExceededError,
     Monomial,
+    MonomialIdeal,
     ParameterError,
     SimplicialSpec,
     ordinary_member,
     symbolic_member,
 )
 from simplicial_ideals.cli import main
+from simplicial_ideals.simplicial import symbolic_power_stream
 from simplicial_ideals.containment import (
     containment_boundary,
     containment_criterion,
@@ -278,3 +280,66 @@ def test_parameter_validation():
         ):
             with pytest.raises(ParameterError, match="must be an integer"):
                 bad_call()
+
+
+def test_oracles_build_no_ideal(monkeypatch):
+    # every ideal the package builds from a stream goes through
+    # _from_canonical; the oracles test the stream itself
+    def refuse(cls, n, tuples):
+        raise AssertionError("an oracle built an ideal")
+
+    monkeypatch.setattr(MonomialIdeal, "_from_canonical", classmethod(refuse))
+    assert containment_oracle(3, 2, 3, 2)
+    assert not containment_oracle(2, 2, 2, 2)
+    assert symbolic_containment_oracle(3, 2, 3, 3, 5)
+    assert not symbolic_containment_oracle(3, 3, 2, 2, 1)
+    assert smallest_containing_symbolic_power(2, 2, 3, use_oracle=True) == 4
+
+
+def test_oracles_stop_at_the_first_failing_generator(monkeypatch):
+    counts = []
+
+    def counted(spec, m, max_candidates=None):
+        count, stream = symbolic_power_stream(spec, m, max_candidates)
+        read = [count, 0]
+        counts.append(read)
+
+        def reading():
+            for exps in stream:
+                read[1] += 1
+                yield exps
+        return count, reading()
+
+    monkeypatch.setattr("simplicial_ideals.containment.symbolic_power_stream",
+                        counted)
+    # I^(6)(5,3) has 1 806 generators; r = 5 is past the criterion's bound
+    assert not containment_criterion(5, 3, 6, 5)
+    assert not containment_oracle(5, 3, 6, 5)
+    # c > d: (m, 0, ..., 0) leaves a d-subset of zeros
+    assert not symbolic_containment_oracle(5, 3, 2, 6, 1)
+    # a containment reads every generator
+    assert containment_oracle(5, 3, 6, 1)
+    (count, read), (sym_count, sym_read), (all_count, all_read) = counts
+    assert read < count and sym_read < sym_count and all_read == all_count
+
+
+def test_oracles_check_arguments_before_the_budget():
+    # the ring, then the target's exponent, then m, then the budget
+    for call, message in (
+            (lambda: containment_oracle(2, 3, 0, 0, -1), "^c=3 must satisfy"),
+            (lambda: containment_oracle(2, 2, 0, 0, -1), "^r=0 must be >= 1$"),
+            (lambda: containment_oracle(2, 2, 0, 1, -1), "^m=0 must be >= 1$"),
+            (lambda: containment_oracle(2, 2, 1, 1, -1),
+             "^max_candidates=-1 must be >= 0$"),
+            (lambda: symbolic_containment_oracle(2, 2, 3, 0, 0, -1),
+             "^c=3 must satisfy"),
+            (lambda: symbolic_containment_oracle(2, 2, 2, 0, 0, -1),
+             "^s=0 must be >= 1$"),
+            (lambda: symbolic_containment_oracle(2, 2, 2, 0, 1, -1),
+             "^m=0 must be >= 1$"),
+            (lambda: symbolic_containment_oracle(2, 2, 2, 1, 1, -1),
+             "^max_candidates=-1 must be >= 0$")):
+        with pytest.raises(ParameterError, match=message):
+            call()
+    with pytest.raises(BudgetExceededError):
+        containment_oracle(2, 2, 3, 1, max_candidates=0)
