@@ -19,7 +19,7 @@ from .containment import (containment_criterion, containment_oracle, resurgence_
                           symbolic_containment_oracle, symbolic_containment_sufficient)
 from .errors import (BudgetExceededError, DimensionError, MonomialParseError,
                      ParameterError)
-from .monomials import Monomial, exps_text
+from .monomials import Monomial, exps_lines
 from .simplicial import (
     SimplicialSpec,
     ordinary_member_detail,
@@ -66,7 +66,8 @@ def _cmd_gens(args, config):
         kind, exponent = "ideal", None
     out = sys.stdout
     if config.format != "json":
-        out.writelines(f"{exps_text(exps)}\n" for exps in stream)
+        # no generator has an entry above r in I^r, m in I^(m) or 1 in I
+        out.writelines(exps_lines(stream, args.n + 1, exponent or 1))
         return EXIT_OK
     # the bytes of _dumps(payload) with the generator list written row by
     # row: every listing has at least one generator, so the list is never []
@@ -218,28 +219,24 @@ def _cmd_verify(args, config):
     return EXIT_OK if failed == 0 else EXIT_CLAIM_FAILED
 
 
-def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default=None,
-                        help="output format (default text)")
-    common.add_argument("--config", default=None, metavar="PATH",
-                        help="config file of key = value lines")
-    common.add_argument("--max-candidates", type=int, default=None,
-                        metavar="N",
-                        help="most generators a listing or oracle builds")
+def _common_args(p):
+    p.add_argument("--format", choices=("text", "json"), default=None,
+                   help="output format (default text)")
+    p.add_argument("--config", default=None, metavar="PATH",
+                   help="config file of key = value lines")
+    p.add_argument("--max-candidates", type=int, default=None, metavar="N",
+                   help="most generators a listing or oracle builds")
+
+
+def _spec_args(p):
     # the ideal I(n,c) that gens, member, containment* and resurgence ask about
-    spec = argparse.ArgumentParser(add_help=False)
-    spec.add_argument("--n", type=int, required=True)
-    spec.add_argument("--c", type=int, required=True)
+    _common_args(p)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--c", type=int, required=True)
 
-    parser = argparse.ArgumentParser(
-        prog="sideal",
-        description="skeleton ideals of the coordinate simplex: generators, "
-                    "powers, containments, resurgence")
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gens", parents=[common, spec],
-                       help="list minimal generators")
+def _gens_args(p):
+    _spec_args(p)
     which = p.add_mutually_exclusive_group()
     which.add_argument("--power", type=int, metavar="R",
                        help="ordinary power I^R")
@@ -247,40 +244,45 @@ def build_parser():
                        help="symbolic power I^(M)")
     p.set_defaults(handler=_cmd_gens)
 
-    p = sub.add_parser("member", parents=[common, spec],
-                       help="membership test with the binding constraint")
+
+def _member_args(p):
+    _spec_args(p)
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--power", type=int, metavar="R")
     which.add_argument("--symbolic", type=int, metavar="M")
     p.add_argument("monomial", help="e.g. 'x0^2*x1' or '1'")
     p.set_defaults(handler=_cmd_member)
 
-    p = sub.add_parser("containment", parents=[common, spec],
-                       help="is I^(m)(n,c) inside I(n,c)^r?")
+
+def _containment_args(p):
+    _spec_args(p)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the generator sweep")
     p.set_defaults(handler=_cmd_containment)
 
-    p = sub.add_parser("containment-sym", parents=[common, spec],
-                       help="is I^(m)(n,c) inside I^(s)(n,d)?")
+
+def _containment_sym_args(p):
+    _spec_args(p)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--oracle", action="store_true")
     p.set_defaults(handler=_cmd_containment_sym)
 
-    p = sub.add_parser("resurgence", parents=[common, spec],
-                       help="exact resurgence with optional evidence")
+
+def _resurgence_args(p):
+    _spec_args(p)
     p.add_argument("--witnesses", type=int, default=0, metavar="K",
                    help="print witness pairs for k = 1..K")
     p.add_argument("--box", type=int, nargs=2, metavar=("M", "R"),
                    help="scan the m x r box for the empirical supremum")
     p.set_defaults(handler=_cmd_resurgence)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run the registered claim suite")
+
+def _verify_args(p):
+    _common_args(p)
     p.add_argument("scope", choices=SCOPES)
     p.add_argument("--deep", action=argparse.BooleanOptionalAction,
                    default=None, help="widen every sweep")
@@ -289,12 +291,49 @@ def build_parser():
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock (breaks byte-identical output)")
     p.set_defaults(handler=_cmd_verify)
+
+
+# subcommand -> (help line, function adding its arguments), in help order
+COMMANDS = {
+    "gens": ("list minimal generators", _gens_args),
+    "member": ("membership test with the binding constraint", _member_args),
+    "containment": ("is I^(m)(n,c) inside I(n,c)^r?", _containment_args),
+    "containment-sym": ("is I^(m)(n,c) inside I^(s)(n,d)?",
+                        _containment_sym_args),
+    "resurgence": ("exact resurgence with optional evidence",
+                   _resurgence_args),
+    "verify": ("run the registered claim suite", _verify_args),
+}
+
+
+def build_parser(command=None):
+    """The ``sideal`` parser with subcommand ``command`` only, or with every
+    subcommand when ``command`` is None.
+
+    Either parser prints the same bytes for an argv that starts with
+    ``command``.  argparse makes a help formatter for every argument it
+    adds, so building one subcommand costs a fraction of building all six.
+    """
+    parser = argparse.ArgumentParser(
+        prog="sideal",
+        description="skeleton ideals of the coordinate simplex: generators, "
+                    "powers, containments, resurgence")
+    # the top-level usage (of an "unrecognized arguments" error) lists every
+    # command either way; the full build leaves metavar None, because the
+    # "required" and "invalid choice" errors name the action by its metavar
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        help_line, add_args = COMMANDS[name]
+        add_args(sub.add_parser(name, help=help_line))
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         config = load_config(
             config_path=args.config,

@@ -12,21 +12,39 @@ compare by total degree first, then by the exponent tuple.
 """
 
 import re
-from operator import add
+from operator import add, getitem
 
 from .errors import DimensionError, MonomialParseError, require_int
 
 _FACTOR = re.compile(r"x(\d+)(?:\^(\d+))?$")
 
 
+def _factor_text(i, e):
+    # the factor x_i^e of a monomial, e >= 1
+    return f"x{i}^{e}" if e > 1 else f"x{i}"
+
+
 def exps_text(exps):
     """The canonical text of the monomial with exponent tuple ``exps``:
     ``x<i>^<e>`` factors joined by ``*``, ``^1`` dropped, ``1`` for the unit.
-    ``Monomial.__str__`` and the streamed ``sideal gens`` listing both use it.
+    ``Monomial.__str__`` and ``MonomialIdeal.to_text`` use it.
     """
-    parts = [f"x{i}^{e}" if e > 1 else f"x{i}"
-             for i, e in enumerate(exps) if e]
+    parts = [_factor_text(i, e) for i, e in enumerate(exps) if e]
     return "*".join(parts) or "1"
+
+
+def exps_lines(stream, length, top):
+    """``exps_text(exps) + "\\n"`` for each exponent tuple of ``stream``, lazily.
+
+    Every tuple must have ``length`` entries, each at most ``top``.  The
+    factor strings are built once, in a table indexed by variable and
+    exponent, so a row is one join and no exponent is formatted per row;
+    the streamed ``sideal gens`` listing writes these lines.
+    """
+    table = [("", *(f"*{_factor_text(i, e)}" for e in range(1, top + 1)))
+             for i in range(length)]
+    return (("".join(map(getitem, table, exps))[1:] or "1") + "\n"
+            for exps in stream)
 
 
 class Monomial:

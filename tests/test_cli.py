@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -24,7 +25,7 @@ from _brute import (
 )
 from simplicial_ideals import (Monomial, MonomialIdeal, SimplicialSpec,
                                symbolic_power)
-from simplicial_ideals.cli import main
+from simplicial_ideals.cli import COMMANDS, build_parser, main
 from simplicial_ideals.verification import ClaimResult
 
 
@@ -325,6 +326,67 @@ def test_verify_failing_claim_exits_one(capsys, monkeypatch):
     assert "FAIL  demo/failing" in out
 
 
+# the least argv each subcommand parses
+VALID_ARGV = {
+    "gens": ["gens", "--n", "2", "--c", "2"],
+    "member": ["member", "--n", "2", "--c", "2", "--power", "1", "x0"],
+    "containment": ["containment", "--n", "2", "--c", "2", "--m", "1",
+                    "--r", "1"],
+    "containment-sym": ["containment-sym", "--n", "2", "--c", "2", "--d", "2",
+                        "--m", "1", "--s", "1"],
+    "resurgence": ["resurgence", "--n", "2", "--c", "2"],
+    "verify": ["verify", "all"],
+}
+
+
+def _parse_exit(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    argv for command, valid in VALID_ARGV.items() for argv in (
+        [command, "--help"],
+        [command],  # a required flag or positional is missing
+        [*valid, "--bogus"],
+        # the stray positional is reported in the top-level usage
+        [*valid, "stray"])
+] + [["gens", "--n", "2", "--c", "2", "--power", "1", "--symbolic", "1"],
+     # argv[0] names no command, so main builds every subcommand
+     [], ["-h"], ["bogus"], ["--format", "json", "gens"]],
+    ids=lambda argv: " ".join(argv) or "(none)")
+def test_one_command_build_prints_what_the_full_build_prints(argv):
+    assert set(VALID_ARGV) == set(COMMANDS)
+    expected = _parse_exit(build_parser().parse_args, argv)
+    assert _parse_exit(main, argv) == expected
+    code, _, err = expected
+    assert code == (0 if {"-h", "--help"} & set(argv) else 2)
+    if argv[:1] in ([], ["bogus"], ["--format"]):
+        # the full build names the subparsers action by its dest
+        assert ("argument command: invalid choice" in err
+                or err.endswith("required: command\n"))
+
+
+def test_main_builds_only_the_chosen_subcommand(monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    assert run_quiet("gens", "--n", "2", "--c", "2")[0] == 0
+    assert built == ["gens"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        run_quiet("bogus")
+    assert built == list(COMMANDS)
+
+
 def test_usage_errors_exit_two(capsys):
     code, _, err = run_cli(capsys, "gens", "--n", "2", "--c", "5")
     assert code == 2 and "c=5" in err
@@ -465,10 +527,13 @@ def run_module(*argv):
         capture_output=True, text=True, env=module_env())
 
 
-def test_module_entry_point():
+def test_module_entry_point(capsys):
+    # main() with no argv reads sys.argv, and prints what main(argv) prints
     proc = run_module("gens", "--n", "2", "--c", "2")
     assert proc.returncode == 0
     assert proc.stdout == "x0*x1\nx0*x2\nx1*x2\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(
+        capsys, "gens", "--n", "2", "--c", "2")
 
 
 def test_missing_subcommand_exits_two():

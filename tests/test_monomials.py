@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from simplicial_ideals import (DimensionError, Monomial, MonomialIdeal,
                                MonomialParseError, ParameterError)
+from simplicial_ideals.monomials import exps_lines, exps_text
 
 exp_vectors = st.lists(st.integers(min_value=0, max_value=9),
                        min_size=2, max_size=6).map(tuple)
@@ -68,6 +69,15 @@ def test_parse_errors():
 def test_str_parse_round_trip(vec):
     mono = Monomial(vec)
     assert Monomial.parse(str(mono), mono.n) == mono
+
+
+@given(st.lists(st.lists(st.integers(0, 9), min_size=4, max_size=4)
+                .map(tuple), max_size=5))
+def test_exps_lines_match_exps_text(rows):
+    # the unit row, rows below the table's top and rows that reach it
+    rows += [(0, 0, 0, 0), (9, 0, 1, 2)]
+    assert list(exps_lines(iter(rows), 4, 9)) == [
+        exps_text(exps) + "\n" for exps in rows]
 
 
 @given(aligned_pairs)
