@@ -66,8 +66,7 @@ def _cmd_gens(args, config):
         kind, exponent = "ideal", None
     out = sys.stdout
     if config.format != "json":
-        # no generator has an entry above r in I^r, m in I^(m) or 1 in I
-        out.writelines(exps_lines(stream, args.n + 1, exponent or 1))
+        out.writelines(exps_lines(stream, args.n + 1))
         return EXIT_OK
     # the bytes of _dumps(payload) with the generator list written row by
     # row: every listing has at least one generator, so the list is never []

@@ -33,16 +33,29 @@ def exps_text(exps):
     return "*".join(parts) or "1"
 
 
-def exps_lines(stream, length, top):
+class _Factors(dict):
+    # the "*x<i>^<e>" text of column i, keyed by e and made on first use
+    __slots__ = ("i",)
+
+    def __init__(self, i):
+        super().__init__({0: ""})
+        self.i = i
+
+    def __missing__(self, e):
+        text = self[e] = "*" + _factor_text(self.i, e)
+        return text
+
+
+def exps_lines(stream, length):
     """``exps_text(exps) + "\\n"`` for each exponent tuple of ``stream``, lazily.
 
-    Every tuple must have ``length`` entries, each at most ``top``.  The
-    factor strings are built once, in a table indexed by variable and
-    exponent, so a row is one join and no exponent is formatted per row;
-    the streamed ``sideal gens`` listing writes these lines.
+    Every tuple must have ``length`` entries.  Each factor string is made
+    once, on the first row that needs it, and kept in a table indexed by
+    variable and exponent, so a row is one join; the table never holds an
+    exponent that no row has.  The streamed ``sideal gens`` listing writes
+    these lines.
     """
-    table = [("", *(f"*{_factor_text(i, e)}" for e in range(1, top + 1)))
-             for i in range(length)]
+    table = [_Factors(i) for i in range(length)]
     return (("".join(map(getitem, table, exps))[1:] or "1") + "\n"
             for exps in stream)
 

@@ -402,6 +402,17 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2 and err == "error: box M=0 must be >= 1\n"
 
 
+def test_one_row_listings_at_huge_exponents(capsys):
+    # I(1,1)^r and I^(m)(1,1) have one generator at any exponent, so the
+    # row's text costs what the row holds, not what the exponent reaches
+    for flag in ("--power", "--symbolic"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "gens", "--n", "1", "--c", "1",
+                                 flag, "100000000")
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (0, "x0^100000000*x1^100000000\n", "")
+
+
 def test_budget_errors_exit_three(capsys):
     # counted before anything is built, so each refusal is immediate
     for argv, message in (

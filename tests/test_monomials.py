@@ -74,9 +74,9 @@ def test_str_parse_round_trip(vec):
 @given(st.lists(st.lists(st.integers(0, 9), min_size=4, max_size=4)
                 .map(tuple), max_size=5))
 def test_exps_lines_match_exps_text(rows):
-    # the unit row, rows below the table's top and rows that reach it
-    rows += [(0, 0, 0, 0), (9, 0, 1, 2)]
-    assert list(exps_lines(iter(rows), 4, 9)) == [
+    # the unit row, a repeated row and an exponent far above the others
+    rows += [(0, 0, 0, 0), (9, 0, 1, 2), (9, 0, 1, 2), (10**8, 1, 0, 0)]
+    assert list(exps_lines(iter(rows), 4)) == [
         exps_text(exps) + "\n" for exps in rows]
 
 
