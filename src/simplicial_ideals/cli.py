@@ -218,18 +218,19 @@ def _cmd_verify(args, config):
     return EXIT_OK if failed == 0 else EXIT_CLAIM_FAILED
 
 
-def _common_args(p):
+def _common_args(p, budget):
     p.add_argument("--format", choices=("text", "json"), default=None,
                    help="output format (default text)")
     p.add_argument("--config", default=None, metavar="PATH",
                    help="config file of key = value lines")
-    p.add_argument("--max-candidates", type=int, default=None, metavar="N",
-                   help="most generators a listing or oracle builds")
+    if budget:
+        p.add_argument("--max-candidates", type=int, default=None, metavar="N",
+                       help="most generators a listing or oracle builds")
 
 
-def _spec_args(p):
+def _spec_args(p, budget=True):
     # the ideal I(n,c) that gens, member, containment* and resurgence ask about
-    _common_args(p)
+    _common_args(p, budget)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
 
@@ -245,7 +246,7 @@ def _gens_args(p):
 
 
 def _member_args(p):
-    _spec_args(p)
+    _spec_args(p, budget=False)
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--power", type=int, metavar="R")
     which.add_argument("--symbolic", type=int, metavar="M")
@@ -281,7 +282,7 @@ def _resurgence_args(p):
 
 
 def _verify_args(p):
-    _common_args(p)
+    _common_args(p, budget=False)
     p.add_argument("scope", choices=SCOPES)
     p.add_argument("--deep", action=argparse.BooleanOptionalAction,
                    default=None, help="widen every sweep")
@@ -306,25 +307,21 @@ COMMANDS = {
 
 
 def build_parser(command=None):
-    """The ``sideal`` parser with subcommand ``command`` only, or with every
-    subcommand when ``command`` is None.
-
-    Either parser prints the same bytes for an argv that starts with
-    ``command``.  argparse makes a help formatter for every argument it
-    adds, so building one subcommand costs a fraction of building all six.
+    """The parser of the words after ``sideal <command>``, or, when
+    ``command`` is None, the full parser with every subcommand.  The full
+    parser names its subparser ``"sideal " + command`` too, so both print
+    the same bytes; building one command costs a fraction of all six.
     """
+    if command is not None:
+        parser = argparse.ArgumentParser(prog="sideal " + command)
+        COMMANDS[command][1](parser)
+        return parser
     parser = argparse.ArgumentParser(
         prog="sideal",
         description="skeleton ideals of the coordinate simplex: generators, "
                     "powers, containments, resurgence")
-    # the top-level usage (of an "unrecognized arguments" error) lists every
-    # command either way; the full build leaves metavar None, because the
-    # "required" and "invalid choice" errors name the action by its metavar
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar=metavar)
-    for name in COMMANDS if command is None else (command,):
-        help_line, add_args = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_args) in COMMANDS.items():
         add_args(sub.add_parser(name, help=help_line))
     return parser
 
@@ -332,12 +329,16 @@ def build_parser(command=None):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    if command is not None:
+        args, rest = build_parser(command).parse_known_args(argv[1:])
+    if command is None or rest:
+        # no command, or words it does not take: the full parser reports it
+        args = build_parser().parse_args(argv)
     try:
         config = load_config(
             config_path=args.config,
             overrides={"format": args.format,
-                       "max_candidates": args.max_candidates,
+                       "max_candidates": getattr(args, "max_candidates", None),
                        "deep": getattr(args, "deep", None)})
         return args.handler(args, config)
     except (ParameterError, MonomialParseError, DimensionError) as exc:

@@ -7,7 +7,7 @@ or ``--config``), then built-in defaults.  The file format is flat
 """
 
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .errors import DEFAULT_MAX_CANDIDATES, ParameterError, require_int
 
@@ -101,12 +101,10 @@ def load_config(config_path=None, overrides=None, environ=None):
     """
     if environ is None:
         environ = os.environ
-    config = CliConfig()
     path = config_path or environ.get(ENV_PREFIX + "CONFIG")
-    if path:
-        config = replace(config, **parse_config_file(path))
-    config = replace(config, **_env_settings(environ))
+    settings = parse_config_file(path) if path else {}
+    settings.update(_env_settings(environ))
     if overrides:
-        config = replace(config, **{k: _coerce(k, v) for k, v in overrides.items()
-                                    if v is not None})
-    return config
+        settings.update((k, _coerce(k, v)) for k, v in overrides.items()
+                        if v is not None)
+    return CliConfig(**settings)

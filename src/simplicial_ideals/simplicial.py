@@ -73,8 +73,8 @@ class FacePrime:
         require_int("m", m, 1)
         c = len(self.variables)
         tuples = []
-        # compositions of m into c parts, via bar positions: one degree, so
-        # the reduction sorts them and tests no divisibility
+        # compositions of m into c parts, via bar positions, over distinct
+        # variables: one degree, so an antichain, in descending lex order
         for bars in combinations(range(m + c - 1), c - 1):
             exps = [0] * (self.n + 1)
             prev = -1
@@ -82,7 +82,7 @@ class FacePrime:
                 exps[var] = bar - prev - 1
                 prev = bar
             tuples.append(tuple(exps))
-        return MonomialIdeal._from_candidates(self.n, tuples)
+        return MonomialIdeal._from_canonical(self.n, sorted(tuples, reverse=True))
 
 
 def simplicial_ideal_stream(spec, max_candidates=None):

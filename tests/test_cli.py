@@ -347,23 +347,49 @@ def _parse_exit(parse, argv):
     return exc.value.code, out.getvalue(), err.getvalue()
 
 
+def _print_words(args, config=None):
+    # stands in for every handler: prints what was parsed, not an answer
+    print(sorted((k, v) for k, v in vars(args).items() if k != "command"))
+    sys.exit(0)
+
+
 @pytest.mark.parametrize("argv", [
     argv for command, valid in VALID_ARGV.items() for argv in (
+        valid,
         [command, "--help"],
+        [*valid, "-h"],
         [command],  # a required flag or positional is missing
         [*valid, "--bogus"],
         # the stray positional is reported in the top-level usage
-        [*valid, "stray"])
+        [*valid, "stray"],
+        [command, "--"], [*valid, "--"], [*valid, "--", "x"],
+        [command, "--n=2"], [*valid, "--format", "xml"],
+        # a repeated option: the last one counts
+        [*valid, "--format", "json", "--format", "text"],
+        # member and verify take no budget, the other four do
+        [*valid, "--max-candidates", "5"], [*valid, "--max-candidates"])
 ] + [["gens", "--n", "2", "--c", "2", "--power", "1", "--symbolic", "1"],
+     ["gens", "--n=2", "--c=2", "--sym", "2"],  # an abbreviation
+     ["member", "--n", "2", "--c", "2", "--power", "1", "x0", "x1"],
+     ["verify", "all", "--no-deep"],
      # argv[0] names no command, so main builds every subcommand
      [], ["-h"], ["bogus"], ["--format", "json", "gens"]],
     ids=lambda argv: " ".join(argv) or "(none)")
-def test_one_command_build_prints_what_the_full_build_prints(argv):
+def test_one_command_build_prints_what_the_full_build_prints(argv, monkeypatch):
     assert set(VALID_ARGV) == set(COMMANDS)
-    expected = _parse_exit(build_parser().parse_args, argv)
-    assert _parse_exit(main, argv) == expected
-    code, _, err = expected
-    assert code == (0 if {"-h", "--help"} & set(argv) else 2)
+    for command in COMMANDS:
+        monkeypatch.setattr(f"simplicial_ideals.cli._cmd_"
+                            f"{command.replace('-', '_')}", _print_words)
+    # argparse wraps help and usage at the terminal width
+    for columns in ("50", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        expected = _parse_exit(
+            lambda words: _print_words(build_parser().parse_args(words)), argv)
+        assert _parse_exit(main, argv) == expected
+        code, out, err = expected
+        # help or the parsed words on stdout, or a usage error on stderr
+        assert (code, bool(out), bool(err)) in ((0, True, False),
+                                                 (2, False, True))
     if argv[:1] in ([], ["bogus"], ["--format"]):
         # the full build names the subparsers action by its dest
         assert ("argument command: invalid choice" in err
@@ -379,12 +405,31 @@ def test_main_builds_only_the_chosen_subcommand(monkeypatch):
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    # a valid command line is parsed by its command's own parser alone
     assert run_quiet("gens", "--n", "2", "--c", "2")[0] == 0
-    assert built == ["gens"]
-    built.clear()
-    with pytest.raises(SystemExit):
-        run_quiet("bogus")
-    assert built == list(COMMANDS)
+    assert built == []
+    # no command, or a word the command does not take: the full parser
+    # reports it
+    for argv in (["bogus"], ["gens", "--n", "2", "--c", "2", "stray"]):
+        with pytest.raises(SystemExit):
+            run_quiet(*argv)
+        assert built == list(COMMANDS)
+        built.clear()
+
+
+def test_budget_flag_only_where_a_budget_is_read():
+    budgeted = {"gens", "containment", "containment-sym", "resurgence"}
+    assert budgeted < set(COMMANDS)
+    for command, valid in VALID_ARGV.items():
+        _, out, _ = _parse_exit(main, [command, "--help"])
+        assert ("--max-candidates N" in out) == (command in budgeted)
+        if command in budgeted:
+            assert run_quiet(*valid, "--max-candidates", "5")[0] == 0
+        else:
+            code, _, err = _parse_exit(main, [*valid, "--max-candidates", "5"])
+            assert code == 2
+            assert err.endswith(
+                "sideal: error: unrecognized arguments: --max-candidates 5\n")
 
 
 def test_usage_errors_exit_two(capsys):
@@ -472,8 +517,9 @@ def test_listings_and_oracles_stay_within_budget(n, data):
         ["containment-sym", *nc, "--d", d, "--m", exponent, "--s", r,
          "--oracle"],
         ["resurgence", *nc, "--witnesses", count, "--box", box_m, r]]))
+    budget = [] if argv[0] == "member" else ["--max-candidates", "20000"]
     start = time.perf_counter()
-    code, out, err = run_quiet(*argv, "--max-candidates", "20000")
+    code, out, err = run_quiet(*argv, *budget)
     assert time.perf_counter() - start < CALL_SECONDS
     assert code in (0, 3)
     if code == 3:
@@ -538,13 +584,21 @@ def run_module(*argv):
         capture_output=True, text=True, env=module_env())
 
 
-def test_module_entry_point(capsys):
+def test_module_entry_point(capsys, monkeypatch):
     # main() with no argv reads sys.argv, and prints what main(argv) prints
     proc = run_module("gens", "--n", "2", "--c", "2")
     assert proc.returncode == 0
     assert proc.stdout == "x0*x1\nx0*x2\nx1*x2\n"
     assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(
         capsys, "gens", "--n", "2", "--c", "2")
+    # a word the command does not take: the full parser's top-level usage,
+    # wrapped at one width in both processes
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["gens", "--n", "2", "--c", "2", "stray"]
+    proc = run_module(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == _parse_exit(main, argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: sideal [-h]")
 
 
 def test_missing_subcommand_exits_two():

@@ -107,13 +107,16 @@ def test_face_prime_power():
     assert all(g.degree == 3 and g.exps[1] == 0 for g in cube.gens)
     assert cube == face_prime_ideal(p) ** 3
     # the exact canonical order: one degree, so descending lex
-    for n in range(1, 5):
-        for c in range(1, n + 1):
-            for prime in face_primes(SimplicialSpec(n, c)):
-                for m in range(1, 5):
-                    got = [g.exps for g in prime.power_ideal(m).gens]
-                    assert got == sorted(brute_face_prime_power(prime, m),
-                                         reverse=True), (prime, m)
+    primes = [prime for n in range(1, 5) for c in range(1, n + 1)
+              for prime in face_primes(SimplicialSpec(n, c))]
+    # and so too when the variables are not named in ascending order
+    primes += [FacePrime(3, (3, 0)), FacePrime(2, (2, 0, 1)),
+               FacePrime(4, (4, 1, 3)), FacePrime(4, (2, 4, 0, 3))]
+    for prime in primes:
+        for m in range(1, 5):
+            got = [g.exps for g in prime.power_ideal(m).gens]
+            assert got == sorted(brute_face_prime_power(prime, m),
+                                 reverse=True), (prime, m)
 
 
 def test_face_prime_needs_two_variables():
