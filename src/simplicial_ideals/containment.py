@@ -134,10 +134,14 @@ def smallest_containing_symbolic_power(n, c, r, use_oracle=False,
                                        max_candidates=None):
     """Least m with the (m, r) containment.  Well defined because the
     criterion bound grows strictly with m; m = c*r always succeeds, which
-    caps the scan."""
+    caps the scan.  On either route its c*r values of m are counted against
+    ``max_candidates`` (see budget_limit) before the first test."""
     SimplicialSpec(n, c)
     require_int("r", r, 1)
-    budget_limit(max_candidates)  # checked though only the oracle uses it
+    limit = budget_limit(max_candidates)
+    if c * r > limit:
+        raise budget_error(f"the least-m scan for r={r} tests up to {c * r} "
+                           "values of m", limit)
     for m in range(1, c * r + 1):
         if use_oracle:
             if containment_oracle(n, c, m, r, max_candidates=max_candidates):
@@ -151,11 +155,16 @@ def containment_boundary(n, c, max_r, use_oracle=False, max_candidates=None):
     """Table [(r, least containing m)] for r = 1..max_r.
 
     Boundary data only -- recorded for inspection, no conclusion about
-    optimality of any general bound is drawn from it.
+    optimality of any general bound is drawn from it.  All the scans'
+    c*max_r*(max_r+1)//2 values of m are counted before the first test.
     """
     SimplicialSpec(n, c)
     require_int("max_r", max_r, 0)
-    budget_limit(max_candidates)
+    limit = budget_limit(max_candidates)
+    scanned = c * max_r * (max_r + 1) // 2
+    if scanned > limit:
+        raise budget_error(f"the least-m scans for r <= {max_r} test up to "
+                           f"{scanned} values of m", limit)
     return [(r, smallest_containing_symbolic_power(
         n, c, r, use_oracle=use_oracle, max_candidates=max_candidates))
         for r in range(1, max_r + 1)]

@@ -9,9 +9,9 @@ new canonical ideals.
 An ideal keeps its antichain as exponent tuples, and every operation works
 on them from start to end: sum, product and intersection form their
 candidates column-wise as tuples, ``_reduce_to_antichain`` takes tuples and
-returns the minimal ones, and the ideal keeps those.  The public constructor
-validates its monomials and then takes the same path.  ``gens`` wraps the
-tuples in ``Monomial`` only when someone asks for them.
+returns the minimal ones, and the ideal keeps those.  Only the validating
+constructor and the trusted ``_from_canonical`` build an ideal.  ``gens``
+wraps the tuples in ``Monomial`` only when someone asks for them.
 
 The intersection prunes both operands first: a generator g of either ideal
 that lies in the other is a minimal generator of the intersection, since
@@ -63,19 +63,15 @@ class _DivisorIndex:
     Invariant: with ``size`` tuples indexed, all of length ``len(masks)`` and
     with entries at most ``top``, ``masks[i][v]`` for 0 <= v <= top has bit k
     set iff tuple k has entry i <= v.  So ``masks[i][top]`` holds all ``size``
-    bits, and a query entry above top is clamped to top.  The empty index has
-    top 0 and masks of 0, so no query finds a divisor in it.
+    bits, and a query entry above top is clamped to top.  An index is built
+    from a non-empty list of tuples.
     """
 
     __slots__ = ("masks", "top", "size")
 
-    def __init__(self, width, tuples=()):
-        if tuples:
-            self.top = max(chain.from_iterable(tuples))
-            self.masks = _le_masks(tuples, self.top)
-        else:
-            self.top = 0
-            self.masks = [[0]] * width
+    def __init__(self, tuples):
+        self.top = max(chain.from_iterable(tuples))
+        self.masks = _le_masks(tuples, self.top)
         self.size = len(tuples)
 
     def add(self, tuples):
@@ -115,13 +111,15 @@ def _compact(*lists):
     return [[tuple(map(getitem, ranks, t)) for t in tuples] for tuples in lists]
 
 
-def _divisible(width, queries, divisors):
+def _divisible(queries, divisors):
     """For each tuple of the sequence ``queries``, lazily, whether some tuple
-    of the sequence ``divisors`` divides it.  A query entry above every
-    divisor's is clamped, so only a large divisor entry calls for ranks."""
-    if max(chain.from_iterable(divisors), default=0) > _DENSE_TOP:
+    of ``divisors`` divides it (none does in the zero ideal).  A query entry
+    above every divisor's is clamped, so only a large one calls for ranks."""
+    if not divisors:
+        return repeat(False, len(queries))
+    if max(chain.from_iterable(divisors)) > _DENSE_TOP:
         queries, divisors = _compact(queries, divisors)
-    return map(_DivisorIndex(width, divisors).has_divisor, queries)
+    return map(_DivisorIndex(divisors).has_divisor, queries)
 
 
 def _reduce_to_antichain(tuples):
@@ -130,7 +128,7 @@ def _reduce_to_antichain(tuples):
 
     Tuples in, tuples out: callers form their candidates as raw exponent
     tuples, and the ideal keeps the minimal ones as they are
-    (``MonomialIdeal._from_candidates``).
+    (``MonomialIdeal._from_canonical``).
     The intersection's candidates include the generators it pruned; those
     are minimal already (see the module docstring), and the sweep keeps
     them as it keeps any tuple that no other divides.
@@ -139,14 +137,15 @@ def _reduce_to_antichain(tuples):
     divisor has strictly smaller total degree (distinct tuples of equal
     degree never divide one another), so the buckets are swept in ascending
     degree and each candidate is tested only against the tuples kept from
-    lower-degree buckets.  Those sit in a ``_DivisorIndex`` that grows one
-    bucket at a time; invariant: before a bucket is filtered, the index
-    holds exactly the minimal tuples of every lower degree.  A single bucket
-    is returned as it is, so an equigenerated input, such as a power of an
-    equigenerated ideal, builds no index and costs no divisibility test; the
-    last bucket is never indexed.  Callers check that every tuple has the
-    ideal's length; the sweep compares tuples ranked by ``_compact`` when an
-    entry passes _DENSE_TOP and maps the kept ones back.
+    lower-degree buckets.  Those sit in a ``_DivisorIndex`` built from the
+    lowest-degree bucket, minimal as it is, and grown one bucket at a time;
+    invariant: before a bucket is filtered, the index holds exactly the
+    minimal tuples of every lower degree.  A single bucket is returned as
+    it is, so an equigenerated input, such as a power of an equigenerated
+    ideal, builds no index and costs no divisibility test; the last bucket
+    is never indexed.  Callers check that every tuple has the ideal's
+    length; the sweep compares tuples ranked by ``_compact`` when an entry
+    passes _DENSE_TOP and maps the kept ones back.
     """
     # ascending degree, then ascending exps: the buckets in sweep order
     keys = sorted(set(tuples))
@@ -162,18 +161,14 @@ def _reduce_to_antichain(tuples):
         ranked, = _compact(keys)
         original = dict(zip(ranked, keys))
         keys = ranked
-    kept = []
-    index = None
-    start = 0
+    start = bisect_right(degrees, degrees[0])
+    kept = keys[:start]
+    index = _DivisorIndex(kept)
     while start < len(keys):
         end = bisect_right(degrees, degrees[start], start)
-        bucket = keys[start:end]
-        if index is None:
-            index = _DivisorIndex(len(bucket[0]), bucket)
-        else:
-            bucket = list(filterfalse(index.has_divisor, bucket))
-            if end < len(keys):
-                index.add(bucket)
+        bucket = list(filterfalse(index.has_divisor, keys[start:end]))
+        if end < len(keys):
+            index.add(bucket)
         kept += bucket
         start = end
     kept.reverse()
@@ -195,16 +190,10 @@ class MonomialIdeal:
         self._exps = tuple(_reduce_to_antichain([g.exps for g in gens]))
 
     @classmethod
-    def _from_candidates(cls, n, tuples):
-        # trusted path: caller guarantees every tuple is a valid exponent
-        # vector of length n+1 (sums and maxima of generators of one ring)
-        return cls._from_canonical(n, _reduce_to_antichain(tuples))
-
-    @classmethod
     def _from_canonical(cls, n, tuples):
         # trusted path: caller guarantees the tuples are an antichain of
-        # exponent vectors of length n+1, already in descending graded-lex
-        # order, so neither the sweep nor a sort is needed
+        # exponent vectors of length n+1 in descending graded-lex order, as
+        # _reduce_to_antichain returns for sums and maxima of generators
         self = object.__new__(cls)
         self.n = n
         self._exps = tuple(tuples)
@@ -233,7 +222,8 @@ class MonomialIdeal:
 
     def __add__(self, other):
         self._check_same_ring(other)
-        return MonomialIdeal._from_candidates(self.n, self._exps + other._exps)
+        return self._from_canonical(
+            self.n, _reduce_to_antichain(self._exps + other._exps))
 
     def __mul__(self, other):
         self._check_same_ring(other)
@@ -244,7 +234,7 @@ class MonomialIdeal:
         for g in self._exps:
             products.update(zip(*[map(add, repeat(e), column) if e else column
                                   for e, column in zip(g, columns)]))
-        return MonomialIdeal._from_candidates(self.n, products)
+        return self._from_canonical(self.n, _reduce_to_antichain(products))
 
     def __pow__(self, r):
         require_int("r", r, 1)
@@ -262,13 +252,12 @@ class MonomialIdeal:
 
     def intersect(self, other):
         self._check_same_ring(other)
-        width = self.n + 1
         mine, theirs = self._exps, other._exps
         # a generator that lies in the other ideal is kept as a minimal
         # generator (see the module docstring); only the pairs of generators
         # outside each other's ideal form lcms
-        mine_in = list(_divisible(width, mine, theirs))
-        theirs_in = list(_divisible(width, theirs, mine))
+        mine_in = list(_divisible(mine, theirs))
+        theirs_in = list(_divisible(theirs, mine))
         candidates = set(compress(mine, mine_in))
         candidates.update(compress(theirs, theirs_in))
         outside = list(compress(theirs, map(not_, theirs_in)))
@@ -284,14 +273,14 @@ class MonomialIdeal:
                 repeat(e, rows) if e >= high else
                 map(max, repeat(e), column)
                 for e, column, (low, high) in zip(g, columns, bounds)]))
-        return MonomialIdeal._from_candidates(self.n, candidates)
+        return self._from_canonical(self.n, _reduce_to_antichain(candidates))
 
     __and__ = intersect
 
     def __le__(self, other):
         """Containment self <= other: every generator of self lies in other."""
         self._check_same_ring(other)
-        return all(_divisible(self.n + 1, self._exps, other._exps))
+        return all(_divisible(self._exps, other._exps))
 
     def __eq__(self, other):
         if not isinstance(other, MonomialIdeal):

@@ -423,12 +423,12 @@ def _run_res_strict(bounds):
             for r in range(1, box + 1):
                 contained = containment_criterion(n, c, m, r)
                 ratio = Fraction(m, r)
+                # one test checks both halves: the second half's
+                # contrapositive, noncontained implies m/r <= rho, is the
+                # first half with its bound relaxed
                 if not contained and not ratio < rho:
                     return {"n": n, "c": c, "m": m, "r": r,
                             "issue": "noncontained ratio reached rho"}
-                if ratio > rho and not contained:
-                    return {"n": n, "c": c, "m": m, "r": r,
-                            "issue": "ratio above rho not contained"}
     return None
 
 

@@ -163,11 +163,15 @@ def test_budgets_take_none_or_an_int_at_least_zero(call):
 
 
 def test_unused_budgets_are_checked_too():
-    # without the oracle these two build nothing, and still refuse a bad budget
+    # without the oracle these two build nothing, and still refuse a bad
+    # budget; a scan counts the values of m it tests, so a budget of 0 fits
+    # only the empty table
+    with pytest.raises(BudgetExceededError, match="max_candidates=0$"):
+        si.smallest_containing_symbolic_power(2, 2, 2, max_candidates=0)
+    assert si.containment_boundary(2, 2, 0, max_candidates=0) == []
     for call in (lambda b: si.smallest_containing_symbolic_power(
                      2, 2, 2, max_candidates=b),
                  lambda b: si.containment_boundary(2, 2, 0, max_candidates=b)):
-        call(0)
         for bad in ("5", 2.5, True, -1):
             with pytest.raises(ParameterError, match="^max_candidates="):
                 call(bad)

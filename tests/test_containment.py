@@ -181,6 +181,35 @@ def test_containment_boundary_routes_agree():
         assert rows == sorted(rows)  # thresholds never decrease
 
 
+def test_least_m_scans_count_before_testing():
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError,
+                       match="^the least-m scan for r=1000000000 tests up to "
+                             "2000000000 values of m, more than "
+                             "max_candidates=2000000$"):
+        smallest_containing_symbolic_power(2, 2, 10**9)
+    with pytest.raises(BudgetExceededError,
+                       match="^the least-m scans for r <= 100000 test up to "
+                             "10000100000 values of m, more than "
+                             "max_candidates=2000000$"):
+        containment_boundary(2, 2, 10**5)
+    assert time.perf_counter() - start < 1
+    # the same count on both routes: c*r = 6, and the table to r = 3 tests
+    # up to 2 + 4 + 6 values of m
+    for use_oracle in (False, True):
+        with pytest.raises(BudgetExceededError, match="^the least-m scan "):
+            smallest_containing_symbolic_power(2, 2, 3, use_oracle=use_oracle,
+                                               max_candidates=5)
+        with pytest.raises(BudgetExceededError, match="^the least-m scans "):
+            containment_boundary(2, 2, 3, use_oracle=use_oracle,
+                                 max_candidates=11)
+    # the oracle also counts the generators of each I^(m) it lists, and
+    # I^(4)(2,2) has 7, so only the criterion route fits these budgets
+    assert smallest_containing_symbolic_power(2, 2, 3, max_candidates=6) == 4
+    assert containment_boundary(2, 2, 3, max_candidates=12) == [
+        (1, 1), (2, 3), (3, 4)]
+
+
 def _verdict(capsys, *argv):
     """Run one containment query through the CLI and read its JSON verdict."""
     code = main([*argv, "--format", "json"])

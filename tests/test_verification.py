@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
-from simplicial_ideals import ParameterError, verification
+from simplicial_ideals import MonomialIdeal, ParameterError, verification
 from simplicial_ideals.verification import (
     DEFAULT_BOUNDS,
     SCOPES,
@@ -120,6 +122,95 @@ def test_shared_runners_report_failures(monkeypatch):
     lines = summary_lines([failing["triangle/odd-symbolic-power-factors"]])
     assert lines[0] == ("FAIL  triangle/odd-symbolic-power-factors  "
                         "[m <= 4]  counterexample: {'m': 1}")
+
+
+# One case for each counterexample return that no other test reaches: the
+# claim, the name broken (in verification's namespace, or a MonomialIdeal
+# operator), a function from the real one to the broken one, and the first
+# counterexample the claim must then report.  A zero ideal, MonomialIdeal(n),
+# lies in no nonzero ideal.
+BROKEN_CLAIMS = {
+    "step-into-v-times-e": (
+        "triangle/symbolic-step-factorization", verification,
+        "simplicial_ideal", lambda real: lambda spec: MonomialIdeal(spec.n),
+        {"m": 1, "step": "V2*E^(m) into V*E^(m)"}),
+    "ceiling-form": (
+        "triangle/containment-criterion-ceiling-form", verification,
+        "containment_criterion", lambda real: lambda *args: not real(*args),
+        {"m": 1, "r": 1}),
+    "inclusion-chain": (
+        "general/skeleton-inclusion-chain", verification, "simplicial_ideal",
+        lambda real: lambda spec: (real(spec) if spec.c == 1
+                                   else MonomialIdeal(spec.n)),
+        {"n": 2, "c": 1}),
+    "criterion-exactness": (
+        "general/containment-criterion-exactness", verification,
+        "containment_criterion", lambda real: lambda *args: not real(*args),
+        {"n": 1, "c": 1, "m": 1, "r": 1, "fast": False, "oracle": True}),
+    "cross-sufficiency": (
+        "general/cross-codimension-sufficiency", verification,
+        "symbolic_containment_oracle", lambda real: lambda *args: False,
+        {"n": 1, "c": 1, "d": 1, "m": 1, "s": 1}),
+    "multiple-of-codimension": (
+        "general/multiple-of-codimension-containment", verification,
+        "containment_criterion", lambda real: lambda *args: False,
+        {"n": 1, "c": 1, "r": 1}),
+    "symbolic-tower": (
+        "general/filtrations-descend", verification, "symbolic_power",
+        lambda real: lambda spec, m: (MonomialIdeal(spec.n) if m == 1
+                                      else real(spec, m)),
+        {"n": 1, "c": 1, "m": 1, "tower": "symbolic"}),
+    "ordinary-tower": (
+        "general/filtrations-descend", MonomialIdeal, "__pow__",
+        lambda real: lambda ideal, r: (MonomialIdeal(ideal.n) if r == 1
+                                       else real(ideal, r)),
+        {"n": 1, "c": 1, "m": 1, "tower": "ordinary"}),
+    "noncontained-at-rho": (
+        "general/resurgence-strict-bound", verification,
+        "containment_criterion", lambda real: lambda *args: False,
+        {"n": 1, "c": 1, "m": 1, "r": 1,
+         "issue": "noncontained ratio reached rho"}),
+    "witness-contained": (
+        "general/witness-sequence-converges", verification,
+        "containment_criterion", lambda real: lambda *args: True,
+        {"n": 1, "c": 1, "k": 1, "issue": "witness contained"}),
+    "witness-at-rho": (
+        "general/witness-sequence-converges", verification, "resurgence",
+        lambda real: lambda n, c: Fraction(1, 2),
+        {"n": 1, "c": 1, "k": 1, "issue": "ratio at rho"}),
+    "witness-gap": (
+        "general/witness-sequence-converges", verification, "resurgence",
+        lambda real: lambda n, c: 2 * real(n, c),
+        {"n": 1, "c": 1, "k": 2, "issue": "gap above rho/k"}),
+    "boundary-routes": (
+        "general/containment-boundary-consistency", verification,
+        "containment_boundary",
+        lambda real: lambda n, c, top, use_oracle=False: [
+            (r, m + use_oracle) for r, m in real(n, c, top)],
+        {"n": 1, "c": 1, "r": 1, "fast": 1, "oracle": 2}),
+}
+
+
+def _run_alone(monkeypatch, entry):
+    """run_verification over a registry that holds only ``entry``."""
+    monkeypatch.setattr(verification, "_REGISTRY", [entry])
+    result, = run_verification("all")
+    return result
+
+
+@pytest.mark.parametrize("claim_id, owner, name, break_it, counterexample",
+                         BROKEN_CLAIMS.values(), ids=BROKEN_CLAIMS)
+def test_claims_report_their_failures(monkeypatch, claim_id, owner, name,
+                                      break_it, counterexample):
+    entry, = [entry for entry in claims_in_scope("all")
+              if entry[0] == claim_id]
+    passing = _run_alone(monkeypatch, entry)
+    monkeypatch.setattr(owner, name, break_it(getattr(owner, name)))
+    failing = _run_alone(monkeypatch, entry)
+    assert passing.status == "pass", claim_id
+    assert failing.status == "fail", claim_id
+    assert failing.counterexample == counterexample, claim_id
+    assert failing.params_range == passing.params_range, claim_id
 
 
 def test_failure_rendering():
