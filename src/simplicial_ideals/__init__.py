@@ -3,6 +3,8 @@
 Construct the ideals I(n,c), compute their ordinary and symbolic powers by
 independent routes, decide containments by closed-form criteria or brute
 force, and compute resurgence -- all in exact integer/rational arithmetic.
+The root exports this algebra only: the claim harness is in ``.verification``,
+and the CLI's ``load_config`` and ``CliConfig`` are in ``.config``.
 """
 
 from .containment import (
@@ -25,7 +27,6 @@ from .errors import (
     MonomialParseError,
     ParameterError,
 )
-from .config import CliConfig, load_config
 from .ideals import MonomialIdeal, intersect_all
 from .monomials import Monomial
 from .simplicial import (
@@ -38,16 +39,6 @@ from .simplicial import (
     symbolic_member,
     symbolic_power,
     symbolic_power_oracle,
-)
-from .verification import (
-    DEEP_BOUNDS,
-    DEFAULT_BOUNDS,
-    SCOPES,
-    ClaimResult,
-    VerificationBounds,
-    results_to_records,
-    run_verification,
-    summary_lines,
 )
 
 __version__ = "0.1.0"

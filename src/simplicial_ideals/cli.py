@@ -3,7 +3,7 @@
 Subcommands: ``gens`` (generator listings), ``member`` (membership with an
 explanation), ``containment`` and ``containment-sym`` (fast verdicts with
 optional brute-force cross checks), ``resurgence`` (exact value, witnesses,
-box sweep) and ``verify`` (the claim harness).
+box sweep) and ``verify`` (the claim harness, imported by it alone).
 
 Exit codes: 0 success, 1 a verified claim failed, 2 usage error, 3 a
 resource budget was exceeded.
@@ -28,8 +28,6 @@ from .simplicial import (
     symbolic_member_detail,
     symbolic_power_stream,
 )
-from .verification import (DEEP_BOUNDS, DEFAULT_BOUNDS, SCOPES, results_to_records,
-                           run_verification, summary_lines)
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
@@ -195,6 +193,8 @@ def _cmd_resurgence(args, config):
 
 
 def _cmd_verify(args, config):
+    from .verification import (DEEP_BOUNDS, DEFAULT_BOUNDS, results_to_records,
+                               run_verification, summary_lines)
     results = run_verification(
         args.scope, DEEP_BOUNDS if config.deep else DEFAULT_BOUNDS)
     records = results_to_records(results, include_times=args.timings)
@@ -282,6 +282,7 @@ def _resurgence_args(p):
 
 
 def _verify_args(p):
+    from .verification import SCOPES
     _common_args(p, budget=False)
     p.add_argument("scope", choices=SCOPES)
     p.add_argument("--deep", action=argparse.BooleanOptionalAction,

@@ -38,6 +38,14 @@ def _largest_contained_r(n, c, m):
     return ((n + 1) * k - p) // (n - c + 2)
 
 
+def _least_containing_m(n, c, r):
+    """Inverse of _largest_contained_r: the least m containment_criterion
+    admits, as m + (n-c+1)*ceil(m/c) grows with m and is (n+1)k at m = kc."""
+    need = r * (n - c + 2)
+    k = -(-need // (n + 1))
+    return max((k - 1) * c + 1, need - (n - c + 1) * k)
+
+
 def containment_criterion(n, c, m, r):
     """Exact test for: m-th symbolic power of I(n,c) inside r-th ordinary power.
 
@@ -132,21 +140,18 @@ def empirical_resurgence_sup(n, c, max_m, max_r):
 
 def smallest_containing_symbolic_power(n, c, r, use_oracle=False,
                                        max_candidates=None):
-    """Least m with the (m, r) containment.  Well defined because the
-    criterion bound grows strictly with m; m = c*r always succeeds, which
-    caps the scan.  On either route its c*r values of m are counted against
-    ``max_candidates`` (see budget_limit) before the first test."""
+    """Least m with the (m, r) containment: a closed form, or with use_oracle a
+    scan of m = 1..c*r (m = c*r succeeds), counted first (see budget_limit)."""
     SimplicialSpec(n, c)
     require_int("r", r, 1)
     limit = budget_limit(max_candidates)
+    if not use_oracle:
+        return _least_containing_m(n, c, r)
     if c * r > limit:
         raise budget_error(f"the least-m scan for r={r} tests up to {c * r} "
                            "values of m", limit)
     for m in range(1, c * r + 1):
-        if use_oracle:
-            if containment_oracle(n, c, m, r, max_candidates=max_candidates):
-                return m
-        elif containment_criterion(n, c, m, r):
+        if containment_oracle(n, c, m, r, max_candidates=max_candidates):
             return m
     raise AssertionError(f"no containing m up to c*r for n={n} c={c} r={r}")
 
@@ -155,14 +160,16 @@ def containment_boundary(n, c, max_r, use_oracle=False, max_candidates=None):
     """Table [(r, least containing m)] for r = 1..max_r.
 
     Boundary data only -- recorded for inspection, no conclusion about
-    optimality of any general bound is drawn from it.  All the scans'
-    c*max_r*(max_r+1)//2 values of m are counted before the first test.
+    optimality of any general bound is drawn from it.  It counts its max_r
+    rows, or on the oracle route its c*max_r*(max_r+1)//2 values of m, first.
     """
     SimplicialSpec(n, c)
     require_int("max_r", max_r, 0)
     limit = budget_limit(max_candidates)
+    if not use_oracle and max_r > limit:
+        raise budget_error(f"max_r={max_r} lists {max_r} rows", limit)
     scanned = c * max_r * (max_r + 1) // 2
-    if scanned > limit:
+    if use_oracle and scanned > limit:
         raise budget_error(f"the least-m scans for r <= {max_r} test up to "
                            f"{scanned} values of m", limit)
     return [(r, smallest_containing_symbolic_power(

@@ -13,6 +13,7 @@ from simplicial_ideals import (
     ParameterError,
     SimplicialSpec,
 )
+from simplicial_ideals import config
 from simplicial_ideals.simplicial import (ordinary_member_detail,
                                           symbolic_member_detail)
 
@@ -94,7 +95,8 @@ INT_PARAMETERS = {
     "resurgence_report box R":
         lambda x: si.resurgence_report(2, 2, box=(5, x)),
     "load_config max_candidates":
-        lambda x: si.load_config(environ={}, overrides={"max_candidates": x}),
+        lambda x: config.load_config(environ={},
+                                     overrides={"max_candidates": x}),
 }
 
 
@@ -164,10 +166,9 @@ def test_budgets_take_none_or_an_int_at_least_zero(call):
 
 def test_unused_budgets_are_checked_too():
     # without the oracle these two build nothing, and still refuse a bad
-    # budget; a scan counts the values of m it tests, so a budget of 0 fits
-    # only the empty table
-    with pytest.raises(BudgetExceededError, match="max_candidates=0$"):
-        si.smallest_containing_symbolic_power(2, 2, 2, max_candidates=0)
+    # budget; the least m is a closed form, and a budget of 0 fits only the
+    # empty table
+    assert si.smallest_containing_symbolic_power(2, 2, 2, max_candidates=0) == 3
     assert si.containment_boundary(2, 2, 0, max_candidates=0) == []
     for call in (lambda b: si.smallest_containing_symbolic_power(
                      2, 2, 2, max_candidates=b),

@@ -319,7 +319,7 @@ def test_verify_failing_claim_exits_one(capsys, monkeypatch):
     failing = ClaimResult(
         claim_id="demo/failing", statement="demo", params_range="m <= 1",
         status="fail", counterexample={"m": 1}, detail=None, wall_time_ms=0.0)
-    monkeypatch.setattr("simplicial_ideals.cli.run_verification",
+    monkeypatch.setattr("simplicial_ideals.verification.run_verification",
                         lambda scope, bounds: [failing])
     code, out, _ = run_cli(capsys, "verify", "all")
     assert code == 1
@@ -604,6 +604,30 @@ def test_module_entry_point(capsys, monkeypatch):
 def test_missing_subcommand_exits_two():
     proc = run_module()
     assert proc.returncode == 2
+
+
+def test_only_verify_loads_the_harness():
+    # in a fresh interpreter: the package root loads the algebra only, and
+    # a sideal call loads the claim harness only for ``verify``
+    script = """if True:
+        import json, sys
+        import simplicial_ideals
+        root = sorted(m for m in sys.modules
+                      if m.startswith("simplicial_ideals."))
+        from simplicial_ideals.cli import main
+        main(["containment", "--n", "3", "--c", "2", "--m", "3", "--r", "2"])
+        query = "simplicial_ideals.verification" in sys.modules
+        main(["verify", "triangle"])
+        verify = "simplicial_ideals.verification" in sys.modules
+        print(json.dumps([root, query, verify]), file=sys.stderr)
+    """
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=module_env())
+    assert proc.returncode == 0, proc.stderr
+    root, query, verify = json.loads(proc.stderr)
+    assert root == [f"simplicial_ideals.{name}" for name in (
+        "containment", "errors", "ideals", "monomials", "simplicial")]
+    assert (query, verify) == (False, True)
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")

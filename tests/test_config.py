@@ -1,8 +1,8 @@
 import pytest
 
-from simplicial_ideals import CliConfig, ParameterError, load_config
+from simplicial_ideals import ParameterError
 from simplicial_ideals.cli import main
-from simplicial_ideals.config import parse_config_file
+from simplicial_ideals.config import CliConfig, load_config, parse_config_file
 
 
 def test_defaults():

@@ -181,32 +181,46 @@ def test_containment_boundary_routes_agree():
         assert rows == sorted(rows)  # thresholds never decrease
 
 
+def test_least_m_closed_form_matches_the_criterion_scan():
+    # the criterion route answers in closed form; a scan of m = 1, 2, ...
+    # through containment_criterion must find the same least m
+    for n in range(1, 13):
+        for c in range(1, n + 1):
+            for r in range(1, 61):
+                least = next(m for m in range(1, c * r + 1)
+                             if containment_criterion(n, c, m, r))
+                assert smallest_containing_symbolic_power(n, c, r) == least
+
+
 def test_least_m_scans_count_before_testing():
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError,
                        match="^the least-m scan for r=1000000000 tests up to "
                              "2000000000 values of m, more than "
                              "max_candidates=2000000$"):
-        smallest_containing_symbolic_power(2, 2, 10**9)
+        smallest_containing_symbolic_power(2, 2, 10**9, use_oracle=True)
     with pytest.raises(BudgetExceededError,
                        match="^the least-m scans for r <= 100000 test up to "
                              "10000100000 values of m, more than "
                              "max_candidates=2000000$"):
-        containment_boundary(2, 2, 10**5)
+        containment_boundary(2, 2, 10**5, use_oracle=True)
     assert time.perf_counter() - start < 1
-    # the same count on both routes: c*r = 6, and the table to r = 3 tests
-    # up to 2 + 4 + 6 values of m
-    for use_oracle in (False, True):
-        with pytest.raises(BudgetExceededError, match="^the least-m scan "):
-            smallest_containing_symbolic_power(2, 2, 3, use_oracle=use_oracle,
-                                               max_candidates=5)
-        with pytest.raises(BudgetExceededError, match="^the least-m scans "):
-            containment_boundary(2, 2, 3, use_oracle=use_oracle,
-                                 max_candidates=11)
-    # the oracle also counts the generators of each I^(m) it lists, and
-    # I^(4)(2,2) has 7, so only the criterion route fits these budgets
-    assert smallest_containing_symbolic_power(2, 2, 3, max_candidates=6) == 4
-    assert containment_boundary(2, 2, 3, max_candidates=12) == [
+    # the oracle route counts its scans: c*r = 6, and the table to r = 3
+    # tests up to 2 + 4 + 6 values of m
+    with pytest.raises(BudgetExceededError, match="^the least-m scan "):
+        smallest_containing_symbolic_power(2, 2, 3, use_oracle=True,
+                                           max_candidates=5)
+    with pytest.raises(BudgetExceededError, match="^the least-m scans "):
+        containment_boundary(2, 2, 3, use_oracle=True, max_candidates=11)
+    # the criterion route scans nothing, so it answers at any budget, and
+    # its table counts only its rows
+    assert smallest_containing_symbolic_power(2, 2, 10**9) == 1333333333
+    assert smallest_containing_symbolic_power(2, 2, 3, max_candidates=0) == 4
+    with pytest.raises(BudgetExceededError,
+                       match="^max_r=3 lists 3 rows, more than "
+                             "max_candidates=2$"):
+        containment_boundary(2, 2, 3, max_candidates=2)
+    assert containment_boundary(2, 2, 3, max_candidates=3) == [
         (1, 1), (2, 3), (3, 4)]
 
 
