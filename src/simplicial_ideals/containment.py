@@ -8,8 +8,9 @@ generators, a sufficient condition for containments between symbolic powers
 of different codimensions, and the resurgence sup { m/r : noncontainment }
 together with its witness sequence.
 
-All ratios are ``fractions.Fraction``; floating point never enters a
-decision.
+A decision compares ratios by integer cross-multiplication with positive
+denominators; every ratio returned is a ``fractions.Fraction``.  No float is
+used anywhere in this module.
 """
 
 from dataclasses import dataclass, field
@@ -122,20 +123,23 @@ def empirical_resurgence_sup(n, c, max_m, max_r):
     it (scanning m then r ascending), or (None, None) if every pair in the
     box is a containment.  For fixed m the noncontained r are exactly those
     above _largest_contained_r, so only the least of them can attain the
-    sup, and one pass over m suffices.
+    sup, and one pass over m suffices.  The pass compares pairs by
+    cross-multiplying and builds no Fraction per m, only the one returned.
     """
     SimplicialSpec(n, c)
     require_int("max_m", max_m, 1)
     require_int("max_r", max_r, 1)
-    best = argmax = None
+    best_m = best_r = None
     for m in range(1, max_m + 1):
         r = _largest_contained_r(n, c, m) + 1
         if r > max_r:
             continue
-        ratio = Fraction(m, r)
-        if best is None or ratio > best:
-            best, argmax = ratio, (m, r)
-    return best, argmax
+        # m/r > best_m/best_r, both denominators positive
+        if best_m is None or m * best_r > best_m * r:
+            best_m, best_r = m, r
+    if best_m is None:
+        return None, None
+    return Fraction(best_m, best_r), (best_m, best_r)
 
 
 def smallest_containing_symbolic_power(n, c, r, use_oracle=False,

@@ -17,7 +17,6 @@ P^3 claim that are the n = 2 and n = 3 cases of one statement share a runner.
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations, product
 
 from .containment import (
@@ -419,14 +418,14 @@ def _run_res_strict(bounds):
     box = bounds.res_box
     for n, c in _specs_up_to(_RES_N):
         rho = resurgence(n, c)
+        p, q = rho.numerator, rho.denominator
         for m in range(1, box + 1):
             for r in range(1, box + 1):
                 contained = containment_criterion(n, c, m, r)
-                ratio = Fraction(m, r)
                 # one test checks both halves: the second half's
                 # contrapositive, noncontained implies m/r <= rho, is the
-                # first half with its bound relaxed
-                if not contained and not ratio < rho:
+                # first half with its bound relaxed; m/r < p/q iff m*q < p*r
+                if not contained and not m * q < p * r:
                     return {"n": n, "c": c, "m": m, "r": r,
                             "issue": "noncontained ratio reached rho"}
     return None
@@ -439,14 +438,16 @@ def _run_res_strict(bounds):
 def _run_witnesses(bounds):
     for n, c in _specs_up_to(_RES_N):
         rho = resurgence(n, c)
+        p, q = rho.numerator, rho.denominator
         for k in range(1, bounds.witness_k + 1):
             m, r = resurgence_witness(n, c, k)
             if containment_criterion(n, c, m, r):
                 return {"n": n, "c": c, "k": k, "issue": "witness contained"}
-            ratio = Fraction(m, r)
-            if not ratio < rho:
+            # with rho = p/q: m/r < rho iff m*q < p*r, and
+            # rho - m/r > rho/k iff k*(p*r - q*m) > p*r
+            if not m * q < p * r:
                 return {"n": n, "c": c, "k": k, "issue": "ratio at rho"}
-            if rho - ratio > rho / k:
+            if k * (p * r - q * m) > p * r:
                 return {"n": n, "c": c, "k": k, "issue": "gap above rho/k"}
     return None
 

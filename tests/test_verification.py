@@ -182,6 +182,17 @@ BROKEN_CLAIMS = {
         "general/witness-sequence-converges", verification, "resurgence",
         lambda real: lambda n, c: 2 * real(n, c),
         {"n": 1, "c": 1, "k": 2, "issue": "gap above rho/k"}),
+    # equality boundaries: for I(1,1) the k-th witness ratio is k/(k+1); at
+    # rho = 4/3 the gap equals rho/k at k = 2 and first exceeds it at k = 3,
+    # and at rho = 2/3 the ratio first reaches rho at k = 2
+    "witness-gap-equal-passes": (
+        "general/witness-sequence-converges", verification, "resurgence",
+        lambda real: lambda n, c: Fraction(4, 3),
+        {"n": 1, "c": 1, "k": 3, "issue": "gap above rho/k"}),
+    "witness-ratio-equal-fails": (
+        "general/witness-sequence-converges", verification, "resurgence",
+        lambda real: lambda n, c: Fraction(2, 3),
+        {"n": 1, "c": 1, "k": 2, "issue": "ratio at rho"}),
     "boundary-routes": (
         "general/containment-boundary-consistency", verification,
         "containment_boundary",
