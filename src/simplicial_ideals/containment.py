@@ -29,13 +29,19 @@ def decompose_exponent(c, m):
     """Write m = k*c - p with 0 <= p < c; returns (k, p), k = ceil(m/c)."""
     require_int("c", c, 1)
     require_int("m", m, 1)
+    return _split_exponent(c, m)
+
+
+def _split_exponent(c, m):
+    """decompose_exponent without its checks, for callers that made them."""
     k = -(-m // c)
     return k, k * c - m
 
 
 def _largest_contained_r(n, c, m):
-    """Largest r that containment_criterion admits for (n, c, m)."""
-    k, p = decompose_exponent(c, m)
+    """Largest r that containment_criterion admits for (n, c, m); callers
+    check the arguments."""
+    k, p = _split_exponent(c, m)
     return ((n + 1) * k - p) // (n - c + 2)
 
 
@@ -56,6 +62,7 @@ def containment_criterion(n, c, m, r):
     """
     SimplicialSpec(n, c)
     require_int("r", r, 1)
+    require_int("m", m, 1)
     return r <= _largest_contained_r(n, c, m)
 
 

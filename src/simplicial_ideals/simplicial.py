@@ -293,13 +293,21 @@ def symbolic_power_stream(spec, m, max_candidates=None):
 
     So the representatives are (t1,)*(n-c+1) + t, one for each partition
     t = (t1 >= ... >= tc >= 0) of m into at most c parts, and no generator
-    has an exponent above m.  _orbits counts their orbits against
-    ``max_candidates`` and streams them.
+    has an exponent above m.  _symbolic_representatives lists them, and
+    _orbits counts their orbits against ``max_candidates`` and streams them.
     """
     require_int("m", m, 1)
-    n, c = spec.n, spec.c
-    reps = ((t[0],) * (n - c + 1) + t for t in _partitions(m, c, m))
-    return _orbits(reps, max_candidates, f"I^({m})({n},{c})")
+    return _orbits(_symbolic_representatives(spec, m), max_candidates,
+                   f"I^({m})({spec.n},{spec.c})")
+
+
+def _symbolic_representatives(spec, m):
+    """The orbit representatives of the minimal generators of the m-th
+    symbolic power of I(n,c), weakly decreasing, in descending lex order:
+    (t1,)*(n-c+1) + t for each partition t of m into at most c parts (see
+    symbolic_power_stream).  Callers check m."""
+    head = spec.n - spec.c + 1
+    return ((t[0],) * head + t for t in _partitions(m, spec.c, m))
 
 
 def symbolic_power(spec, m, max_candidates=None):

@@ -18,6 +18,7 @@ P^3 claim that are the n = 2 and n = 3 cases of one statement share a runner.
 import time
 from dataclasses import dataclass
 from itertools import permutations, product
+from operator import add
 
 from .containment import (
     containment_boundary,
@@ -33,10 +34,11 @@ from .monomials import Monomial
 from .simplicial import (
     SimplicialSpec,
     _ordinary_test,
+    _symbolic_representatives,
+    _symbolic_test,
     simplicial_ideal,
     symbolic_power,
     symbolic_power_oracle,
-    symbolic_power_stream,
 )
 
 
@@ -54,7 +56,8 @@ class VerificationBounds:
     decomp_n: int = 4          # codim-2 second-symbolic decomposition
     oracle_n: int = 4          # criterion-exactness sweep caps
     oracle_mr: int = 6
-    routes_m: int = 5          # two-route symbolic power agreement
+    routes_n: int = 4          # two-route symbolic power agreement
+    routes_m: int = 5
     cross_n: int = 3           # cross-codimension sufficiency sweep
     cross_ms: int = 5
     multiple_r: int = 6        # m = c*r containment sweep
@@ -73,7 +76,7 @@ DEFAULT_BOUNDS = VerificationBounds()
 DEEP_BOUNDS = VerificationBounds(
     triangle_m=6, triangle_gens_m=12, triangle_grid=24, ci_k=8,
     tetra_m=4, tetra_gens_m=8, hierarchy_n=6, decomp_n=5,
-    oracle_n=4, oracle_mr=8, routes_m=6, cross_n=4, cross_ms=6,
+    oracle_n=8, oracle_mr=8, routes_n=4, routes_m=6, cross_n=4, cross_ms=6,
     multiple_r=8, multiple_n=8, power_incl_n=4, power_incl_ab=4,
     filtration_n=4, filtration_m=6, res_box=30, witness_k=200,
     boundary_n=4, boundary_r=8)
@@ -312,15 +315,19 @@ def _run_codim2_decomp(bounds):
         "closed-form containment criterion agrees with the brute-force "
         "generator oracle on every cell", "n <= {oracle_n}, m,r <= {oracle_mr}")
 def _run_exactness(bounds):
-    # containment_oracle's test, with each I^(m) listed once for every r
+    # containment_oracle's test, with each I^(m) listed once for every r.
+    # The test and I^(m) are invariant under permuting the coordinates, so
+    # I^(m) lies in I^r iff every orbit representative of its minimal
+    # generators passes: the representatives whose orbits symbolic_power
+    # and containment_oracle list.
     top_mr = bounds.oracle_mr
     for n, c in _specs_up_to(bounds.oracle_n):
         spec = SimplicialSpec(n, c)
         for m in range(1, top_mr + 1):
-            gens = list(symbolic_power_stream(spec, m)[1])
+            reps = list(_symbolic_representatives(spec, m))
             for r in range(1, top_mr + 1):
                 fast = containment_criterion(n, c, m, r)
-                slow = all(map(_ordinary_test(spec, r), gens))
+                slow = all(map(_ordinary_test(spec, r), reps))
                 if fast != slow:
                     return {"n": n, "c": c, "m": m, "r": r,
                             "fast": fast, "oracle": slow}
@@ -329,9 +336,9 @@ def _run_exactness(bounds):
 
 @_claim("general/symbolic-routes-agree",
         "criterion-based symbolic power equals the face-prime intersection",
-        "n <= {oracle_n}, m <= {routes_m}")
+        "n <= {routes_n}, m <= {routes_m}")
 def _run_routes(bounds):
-    for n, c in _specs_up_to(bounds.oracle_n):
+    for n, c in _specs_up_to(bounds.routes_n):
         spec = SimplicialSpec(n, c)
         for m in range(1, bounds.routes_m + 1):
             if symbolic_power(spec, m) != symbolic_power_oracle(spec, m):
@@ -380,13 +387,38 @@ def _run_multiple(bounds):
         "(I^(a)(n,c))^b contained in I^(a*b)(n,c)",
         "n <= {power_incl_n}, a,b <= {power_incl_ab}")
 def _run_power_incl(bounds):
+    """Tests each generator of (I^(a))^b up to a permutation.
+
+    Proof.  (I^(a))^b is generated by the products g*h, g a minimal
+    generator of I^(a) and h one of J = (I^(a))^(b-1) (h = 1 at b = 1).
+    Let sigma be a coordinate permutation that sorts g into weakly
+    decreasing order.  Then sigma(g) is an orbit representative r, since
+    symbolic_power is the union of the orbits of _symbolic_representatives
+    (the proof in symbolic_power_stream, checked against the face-prime
+    route by symbolic-routes-agree on a box that covers this one's n and
+    a).  J is invariant under permuting coordinates, so sigma(h) is again
+    a minimal generator of J, and sigma(g*h) = r*sigma(h).  The membership
+    test of I^(ab) is invariant under sigma.  So (I^(a))^b lies in I^(ab)
+    iff r*h passes for every representative r and every minimal generator
+    h of J, and a failing r*h is itself in (I^(a))^b, a true
+    counterexample.
+    """
     top_ab = bounds.power_incl_ab
     for n, c in _specs_up_to(bounds.power_incl_n):
         spec = SimplicialSpec(n, c)
         for a in range(1, top_ab + 1):
             sym_a = symbolic_power(spec, a)
+            reps = list(_symbolic_representatives(spec, a))
+            # the minimal generators of (I^(a))^(b-1): 1, then one more
+            # factor per b, none past the last b
+            cofactors = [(0,) * (n + 1)]
             for b in range(1, top_ab + 1):
-                if not sym_a ** b <= symbolic_power(spec, a * b):
+                if b > 1:
+                    power = sym_a if b == 2 else power * sym_a
+                    cofactors = power._exps
+                test = _symbolic_test(spec, a * b)
+                if not all(test(map(add, r, h))
+                           for h in cofactors for r in reps):
                     return {"n": n, "c": c, "a": a, "b": b}
     return None
 

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from simplicial_ideals import MonomialIdeal, ParameterError, verification
+from simplicial_ideals import (MonomialIdeal, ParameterError, SimplicialSpec,
+                               symbolic_power, verification)
 from simplicial_ideals.verification import (
+    DEEP_BOUNDS,
     DEFAULT_BOUNDS,
     SCOPES,
     ClaimResult,
@@ -147,6 +149,21 @@ BROKEN_CLAIMS = {
         "general/containment-criterion-exactness", verification,
         "containment_criterion", lambda real: lambda *args: not real(*args),
         {"n": 1, "c": 1, "m": 1, "r": 1, "fast": False, "oracle": True}),
+    # no representatives: every oracle cell holds, and I^(1)(1,1) = (x0*x1)
+    # is the first symbolic power outside an I^r, at r = 2
+    "exactness-representatives": (
+        "general/containment-criterion-exactness", verification,
+        "_symbolic_representatives", lambda real: lambda spec, m: iter(()),
+        {"n": 1, "c": 1, "m": 1, "r": 2, "fast": False, "oracle": True}),
+    # I^(1) built as the unit ideal: (I^(1))^2 then holds 1 * x0*x1, which
+    # is not in I^(2)(1,1)
+    "multiplicative-inclusion": (
+        "general/symbolic-power-multiplicative-inclusion", verification,
+        "symbolic_power",
+        lambda real: lambda spec, m: (
+            MonomialIdeal.from_lists(spec.n, [[0] * (spec.n + 1)]) if m == 1
+            else real(spec, m)),
+        {"n": 1, "c": 1, "a": 1, "b": 2}),
     "cross-sufficiency": (
         "general/cross-codimension-sufficiency", verification,
         "symbolic_containment_oracle", lambda real: lambda *args: False,
@@ -249,3 +266,26 @@ def test_summary_lines_hide_times_by_default():
 def test_default_bounds_match_documented_defaults():
     assert DEFAULT_BOUNDS == VerificationBounds()
     assert (DEFAULT_BOUNDS.oracle_n, DEFAULT_BOUNDS.oracle_mr) == (4, 6)
+    assert (DEEP_BOUNDS.oracle_n, DEEP_BOUNDS.oracle_mr) == (8, 8)
+    assert DEFAULT_BOUNDS.routes_n == DEEP_BOUNDS.routes_n == 4
+
+
+@pytest.mark.parametrize("bounds", [DEFAULT_BOUNDS, DEEP_BOUNDS],
+                         ids=["default", "deep"])
+def test_routes_box_covers_multiplicative_inclusion(bounds):
+    # the multiplicative-inclusion claim tests orbit representatives, which
+    # is exact because symbolic-routes-agree checks each I^(a) it builds
+    assert bounds.routes_n >= bounds.power_incl_n
+    assert bounds.routes_m >= bounds.power_incl_ab
+
+
+def test_multiplicative_inclusion_full_route():
+    # the claim's former body: every generator of (I^(a))^b, no symmetry
+    for n in range(1, 4):
+        for c in range(1, n + 1):
+            spec = SimplicialSpec(n, c)
+            for a in range(1, 4):
+                sym_a = symbolic_power(spec, a)
+                for b in range(1, 4):
+                    product = sym_a ** b
+                    assert product <= symbolic_power(spec, a * b), (n, c, a, b)
