@@ -19,6 +19,7 @@ from fractions import Fraction
 from .errors import ParameterError, budget_error, budget_limit, require_int
 from .simplicial import (
     SimplicialSpec,
+    _check_spec,
     _ordinary_test,
     _symbolic_test,
     symbolic_power_stream,
@@ -60,7 +61,7 @@ def containment_criterion(n, c, m, r):
     r * (n - c + 2) <= (n + 1) * k - p.  This is an if-and-only-if; the
     boundary case of equality is a containment.
     """
-    SimplicialSpec(n, c)
+    _check_spec(n, c)
     require_int("r", r, 1)
     require_int("m", m, 1)
     return r <= _largest_contained_r(n, c, m)
@@ -104,7 +105,7 @@ def symbolic_containment_oracle(n, c, d, m, s, max_candidates=None):
 
 def resurgence(n, c):
     """Exact resurgence of I(n,c): the reduced rational c*(n-c+2)/(n+1)."""
-    SimplicialSpec(n, c)
+    _check_spec(n, c)
     return Fraction(c * (n - c + 2), n + 1)
 
 
@@ -116,7 +117,7 @@ def resurgence_witness(n, c, k):
     The pair is guaranteed noncontained and m_k/r_k approaches the
     resurgence from below as k grows.
     """
-    SimplicialSpec(n, c)
+    _check_spec(n, c)
     require_int("k", k, 1)
     m = k * c
     r = (n + 1) * k // (n - c + 2) + 1
@@ -133,7 +134,7 @@ def empirical_resurgence_sup(n, c, max_m, max_r):
     sup, and one pass over m suffices.  The pass compares pairs by
     cross-multiplying and builds no Fraction per m, only the one returned.
     """
-    SimplicialSpec(n, c)
+    _check_spec(n, c)
     require_int("max_m", max_m, 1)
     require_int("max_r", max_r, 1)
     best_m = best_r = None
@@ -153,7 +154,7 @@ def smallest_containing_symbolic_power(n, c, r, use_oracle=False,
                                        max_candidates=None):
     """Least m with the (m, r) containment: a closed form, or with use_oracle a
     scan of m = 1..c*r (m = c*r succeeds), counted first (see budget_limit)."""
-    SimplicialSpec(n, c)
+    _check_spec(n, c)
     require_int("r", r, 1)
     limit = budget_limit(max_candidates)
     if not use_oracle:
@@ -174,7 +175,7 @@ def containment_boundary(n, c, max_r, use_oracle=False, max_candidates=None):
     optimality of any general bound is drawn from it.  It counts its max_r
     rows, or on the oracle route its c*max_r*(max_r+1)//2 values of m, first.
     """
-    SimplicialSpec(n, c)
+    _check_spec(n, c)
     require_int("max_r", max_r, 0)
     limit = budget_limit(max_candidates)
     if not use_oracle and max_r > limit:

@@ -42,10 +42,15 @@ class SimplicialSpec:
     c: int
 
     def __post_init__(self):
-        require_int("n", self.n, 1)
-        require_int("c", self.c)
-        if not 1 <= self.c <= self.n:
-            raise ParameterError(f"c={self.c} must satisfy 1 <= c <= n={self.n}")
+        _check_spec(self.n, self.c)
+
+
+def _check_spec(n, c):
+    """SimplicialSpec's (n, c) rule, for callers that need no spec built."""
+    require_int("n", n, 1)
+    require_int("c", c)
+    if not 1 <= c <= n:
+        raise ParameterError(f"c={c} must satisfy 1 <= c <= n={n}")
 
 
 @dataclass(frozen=True)
@@ -119,7 +124,8 @@ def _ring_exps(spec, a):
 def _symbolic_test(spec, m):
     """The exponent-tuple test for the m-th symbolic power of I(n,c), built
     once per query: the c smallest entries sum to >= m.  The oracles map it
-    over a generator stream; callers check m and the tuples' length."""
+    over a generator stream, and the claims over _symbolic_representatives;
+    callers check m and the tuples' length."""
     c = spec.c
     return lambda exps: sum(sorted(exps)[:c]) >= m
 
@@ -305,7 +311,15 @@ def _symbolic_representatives(spec, m):
     """The orbit representatives of the minimal generators of the m-th
     symbolic power of I(n,c), weakly decreasing, in descending lex order:
     (t1,)*(n-c+1) + t for each partition t of m into at most c parts (see
-    symbolic_power_stream).  Callers check m."""
+    symbolic_power_stream).  Callers check m.
+
+    The minimal generators of I^(m) are the coordinate permutations of
+    these, so an exponent-tuple test that is invariant under permuting
+    coordinates (``_ordinary_test``, ``_symbolic_test``) passes on every
+    minimal generator iff it passes on every representative.  For the
+    membership test of a monomial ideal J, that says I^(m) lies in J iff
+    every representative lies in J, and a failing representative is itself
+    a generator of I^(m) outside J."""
     head = spec.n - spec.c + 1
     return ((t[0],) * head + t for t in _partitions(m, spec.c, m))
 
@@ -361,9 +375,9 @@ def ordinary_power_min_gens(spec, r, max_candidates=None):
 
 def _ordinary_test(spec, r):
     """The exponent-tuple test for I(n,c)^r, built once per query: the
-    entries capped at r sum to >= (n-c+2)*r.  The oracle and the
-    criterion-exactness claim map it over a generator stream; callers check
-    r and the tuples' length."""
+    entries capped at r sum to >= (n-c+2)*r.  The oracle maps it over a
+    generator stream, and the claims over _symbolic_representatives;
+    callers check r and the tuples' length."""
     required = (spec.n - spec.c + 2) * r
     return lambda exps: sum(map(min, exps, repeat(r))) >= required
 

@@ -76,10 +76,10 @@ DEFAULT_BOUNDS = VerificationBounds()
 DEEP_BOUNDS = VerificationBounds(
     triangle_m=6, triangle_gens_m=12, triangle_grid=24, ci_k=8,
     tetra_m=4, tetra_gens_m=8, hierarchy_n=6, decomp_n=5,
-    oracle_n=8, oracle_mr=8, routes_n=4, routes_m=6, cross_n=4, cross_ms=6,
+    oracle_n=8, oracle_mr=8, routes_n=4, routes_m=6, cross_n=8, cross_ms=6,
     multiple_r=8, multiple_n=8, power_incl_n=4, power_incl_ab=4,
     filtration_n=4, filtration_m=6, res_box=30, witness_k=200,
-    boundary_n=4, boundary_r=8)
+    boundary_n=8, boundary_r=8)
 
 SCOPES = ("triangle", "tetrahedron", "general", "all")
 
@@ -315,11 +315,8 @@ def _run_codim2_decomp(bounds):
         "closed-form containment criterion agrees with the brute-force "
         "generator oracle on every cell", "n <= {oracle_n}, m,r <= {oracle_mr}")
 def _run_exactness(bounds):
-    # containment_oracle's test, with each I^(m) listed once for every r.
-    # The test and I^(m) are invariant under permuting the coordinates, so
-    # I^(m) lies in I^r iff every orbit representative of its minimal
-    # generators passes: the representatives whose orbits symbolic_power
-    # and containment_oracle list.
+    # containment_oracle's test on the orbit representatives of each I^(m),
+    # listed once for every r; exact by _symbolic_representatives
     top_mr = bounds.oracle_mr
     for n, c in _specs_up_to(bounds.oracle_n):
         spec = SimplicialSpec(n, c)
@@ -350,14 +347,19 @@ def _run_routes(bounds):
         "c <= d and s*c <= m*d implies I^(m)(n,c) contained in I^(s)(n,d)",
         "c <= d <= n <= {cross_n}, m,s <= {cross_ms}")
 def _run_cross_sound(bounds):
+    # symbolic_containment_oracle's test on the orbit representatives of
+    # each I^(m)(n,c); exact by _symbolic_representatives
     top_ms = bounds.cross_ms
     for n in range(1, bounds.cross_n + 1):
         for c in range(1, n + 1):
+            src = SimplicialSpec(n, c)
             for d in range(c, n + 1):
+                dst = SimplicialSpec(n, d)
                 for m in range(1, top_ms + 1):
+                    reps = list(_symbolic_representatives(src, m))
                     for s in range(1, top_ms + 1):
                         if (symbolic_containment_sufficient(c, d, m, s) and
-                                not symbolic_containment_oracle(n, c, d, m, s)):
+                                not all(map(_symbolic_test(dst, s), reps))):
                             return {"n": n, "c": c, "d": d, "m": m, "s": s}
     return None
 
@@ -489,12 +491,22 @@ def _run_witnesses(bounds):
         "criterion and oracle; the boundary table is recorded as data",
         "n <= {boundary_n}, r <= {boundary_r}")
 def _run_boundary(bounds):
+    """The oracle side of each row is the least m whose orbit
+    representatives all pass containment_oracle's test (exact by
+    _symbolic_representatives).  The scan stops at m = c*r, which the
+    criterion always admits, so a route that never passes reports the
+    oracle as None instead of scanning on.  Each row scans from m = 1 again:
+    starting at the previous row's m would let an oracle that is wrongly
+    non-monotone in r pass."""
     top_r = bounds.boundary_r
     tables = {}
     for n, c in _specs_up_to(bounds.boundary_n):
+        spec = SimplicialSpec(n, c)
         fast = containment_boundary(n, c, top_r)
-        slow = containment_boundary(n, c, top_r, use_oracle=True)
-        for (r, fast_m), (_, slow_m) in zip(fast, slow):
+        for r, fast_m in fast:
+            test = _ordinary_test(spec, r)
+            slow_m = next((m for m in range(1, c * r + 1) if all(
+                map(test, _symbolic_representatives(spec, m)))), None)
             if fast_m != slow_m:
                 return {"n": n, "c": c, "r": r, "fast": fast_m,
                         "oracle": slow_m}, None

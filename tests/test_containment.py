@@ -86,8 +86,8 @@ def test_sufficient_predicate_is_sound():
     for n in range(1, 4):
         for c in range(1, n + 1):
             for d in range(c, n + 1):
-                for m in range(1, 5):
-                    for s in range(1, 5):
+                for m in range(1, 6):
+                    for s in range(1, 6):
                         if symbolic_containment_sufficient(c, d, m, s):
                             assert symbolic_containment_oracle(n, c, d, m, s)
 
@@ -173,9 +173,9 @@ def test_smallest_containing_symbolic_power():
 
 
 def test_containment_boundary_routes_agree():
-    for n, c in ((2, 2), (3, 2), (3, 3)):
-        fast = containment_boundary(n, c, 5)
-        slow = containment_boundary(n, c, 5, use_oracle=True)
+    for n, c in [(n, c) for n in range(1, 4) for c in range(1, n + 1)]:
+        fast = containment_boundary(n, c, 6)
+        slow = containment_boundary(n, c, 6, use_oracle=True)
         assert fast == slow
         rows = [m for _, m in fast]
         assert rows == sorted(rows)  # thresholds never decrease
@@ -386,3 +386,28 @@ def test_oracles_check_arguments_before_the_budget():
             call()
     with pytest.raises(BudgetExceededError):
         containment_oracle(2, 2, 3, 1, max_candidates=0)
+
+
+# the functions that check (n, c) without building a SimplicialSpec, each
+# with valid arguments after n and c
+SPEC_CHECKED = {
+    "containment_criterion": lambda n, c: containment_criterion(n, c, 1, 1),
+    "resurgence": resurgence,
+    "resurgence_witness": lambda n, c: resurgence_witness(n, c, 1),
+    "empirical_resurgence_sup":
+        lambda n, c: empirical_resurgence_sup(n, c, 1, 1),
+    "smallest_containing_symbolic_power":
+        lambda n, c: smallest_containing_symbolic_power(n, c, 1),
+    "containment_boundary": lambda n, c: containment_boundary(n, c, 1),
+}
+
+
+@pytest.mark.parametrize("call", SPEC_CHECKED.values(), ids=SPEC_CHECKED)
+@pytest.mark.parametrize("n, c", [(2, 3), (2, 0), (2.0, 1), (True, 1),
+                                  ("2", 3), (2, 1.0)])
+def test_spec_checks_match_simplicial_spec(call, n, c):
+    with pytest.raises(ParameterError) as spec_error:
+        SimplicialSpec(n, c)
+    with pytest.raises(ParameterError) as call_error:
+        call(n, c)
+    assert str(call_error.value) == str(spec_error.value)

@@ -164,9 +164,11 @@ BROKEN_CLAIMS = {
             MonomialIdeal.from_lists(spec.n, [[0] * (spec.n + 1)]) if m == 1
             else real(spec, m)),
         {"n": 1, "c": 1, "a": 1, "b": 2}),
+    # a target test that nothing passes: I^(1)(1,1) is then outside
+    # I^(1)(1,1), a cell the sufficient condition covers
     "cross-sufficiency": (
         "general/cross-codimension-sufficiency", verification,
-        "symbolic_containment_oracle", lambda real: lambda *args: False,
+        "_symbolic_test", lambda real: lambda spec, s: lambda exps: False,
         {"n": 1, "c": 1, "d": 1, "m": 1, "s": 1}),
     "multiple-of-codimension": (
         "general/multiple-of-codimension-containment", verification,
@@ -210,12 +212,20 @@ BROKEN_CLAIMS = {
         "general/witness-sequence-converges", verification, "resurgence",
         lambda real: lambda n, c: Fraction(2, 3),
         {"n": 1, "c": 1, "k": 2, "issue": "ratio at rho"}),
+    # the oracle side shifted by one: I^(m)(1,1) listed as I^(m+1)(1,1), so
+    # the scans first disagree at r = 2, where the criterion needs m = 2 and
+    # the shifted scan accepts m = 1
     "boundary-routes": (
         "general/containment-boundary-consistency", verification,
-        "containment_boundary",
-        lambda real: lambda n, c, top, use_oracle=False: [
-            (r, m + use_oracle) for r, m in real(n, c, top)],
-        {"n": 1, "c": 1, "r": 1, "fast": 1, "oracle": 2}),
+        "_symbolic_representatives",
+        lambda real: lambda spec, m: real(spec, m + 1),
+        {"n": 1, "c": 1, "r": 2, "fast": 2, "oracle": 1}),
+    # representatives that never pass: the oracle scan stops at m = c*r and
+    # reports no least m instead of scanning on
+    "boundary-scan-exhausted": (
+        "general/containment-boundary-consistency", verification,
+        "_ordinary_test", lambda real: lambda spec, r: lambda exps: False,
+        {"n": 1, "c": 1, "r": 1, "fast": 1, "oracle": None}),
 }
 
 
@@ -268,6 +278,8 @@ def test_default_bounds_match_documented_defaults():
     assert (DEFAULT_BOUNDS.oracle_n, DEFAULT_BOUNDS.oracle_mr) == (4, 6)
     assert (DEEP_BOUNDS.oracle_n, DEEP_BOUNDS.oracle_mr) == (8, 8)
     assert DEFAULT_BOUNDS.routes_n == DEEP_BOUNDS.routes_n == 4
+    assert (DEFAULT_BOUNDS.cross_n, DEEP_BOUNDS.cross_n) == (3, 8)
+    assert (DEFAULT_BOUNDS.boundary_n, DEEP_BOUNDS.boundary_n) == (3, 8)
 
 
 @pytest.mark.parametrize("bounds", [DEFAULT_BOUNDS, DEEP_BOUNDS],
