@@ -12,7 +12,6 @@ from .containment import (
     containment_boundary,
     containment_criterion,
     containment_oracle,
-    decompose_exponent,
     empirical_resurgence_sup,
     resurgence,
     resurgence_report,

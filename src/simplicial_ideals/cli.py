@@ -22,6 +22,7 @@ from .errors import (BudgetExceededError, DimensionError, MonomialParseError,
 from .monomials import Monomial, exps_lines
 from .simplicial import (
     SimplicialSpec,
+    _check_spec,
     ordinary_member_detail,
     ordinary_power_stream,
     simplicial_ideal_stream,
@@ -146,8 +147,8 @@ def _cmd_containment(args, config):
 def _cmd_containment_sym(args, config):
     n, c, d, m, s = args.n, args.c, args.d, args.m, args.s
     # the sufficient condition never sees n: check c and d against it first
-    SimplicialSpec(n, c)
-    SimplicialSpec(n, d)
+    _check_spec(n, c)
+    _check_spec(n, d)
     fast = symbolic_containment_sufficient(c, d, m, s)
     oracle = (symbolic_containment_oracle(n, c, d, m, s,
                                           max_candidates=config.max_candidates)

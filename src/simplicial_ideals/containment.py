@@ -26,23 +26,11 @@ from .simplicial import (
 )
 
 
-def decompose_exponent(c, m):
-    """Write m = k*c - p with 0 <= p < c; returns (k, p), k = ceil(m/c)."""
-    require_int("c", c, 1)
-    require_int("m", m, 1)
-    return _split_exponent(c, m)
-
-
-def _split_exponent(c, m):
-    """decompose_exponent without its checks, for callers that made them."""
-    k = -(-m // c)
-    return k, k * c - m
-
-
 def _largest_contained_r(n, c, m):
     """Largest r that containment_criterion admits for (n, c, m); callers
     check the arguments."""
-    k, p = _split_exponent(c, m)
+    k = -(-m // c)
+    p = k * c - m
     return ((n + 1) * k - p) // (n - c + 2)
 
 
@@ -119,9 +107,12 @@ def resurgence_witness(n, c, k):
     """
     _check_spec(n, c)
     require_int("k", k, 1)
-    m = k * c
-    r = (n + 1) * k // (n - c + 2) + 1
-    return m, r
+    return _witness(n, c, k)
+
+
+def _witness(n, c, k):
+    """resurgence_witness without its checks, for callers that made them."""
+    return k * c, (n + 1) * k // (n - c + 2) + 1
 
 
 def empirical_resurgence_sup(n, c, max_m, max_r):
@@ -168,25 +159,19 @@ def smallest_containing_symbolic_power(n, c, r, use_oracle=False,
     raise AssertionError(f"no containing m up to c*r for n={n} c={c} r={r}")
 
 
-def containment_boundary(n, c, max_r, use_oracle=False, max_candidates=None):
-    """Table [(r, least containing m)] for r = 1..max_r.
+def containment_boundary(n, c, max_r, max_candidates=None):
+    """Table [(r, least containing m)] for r = 1..max_r, in closed form.
 
     Boundary data only -- recorded for inspection, no conclusion about
     optimality of any general bound is drawn from it.  It counts its max_r
-    rows, or on the oracle route its c*max_r*(max_r+1)//2 values of m, first.
+    rows first (see budget_limit).
     """
     _check_spec(n, c)
     require_int("max_r", max_r, 0)
     limit = budget_limit(max_candidates)
-    if not use_oracle and max_r > limit:
+    if max_r > limit:
         raise budget_error(f"max_r={max_r} lists {max_r} rows", limit)
-    scanned = c * max_r * (max_r + 1) // 2
-    if use_oracle and scanned > limit:
-        raise budget_error(f"the least-m scans for r <= {max_r} test up to "
-                           f"{scanned} values of m", limit)
-    return [(r, smallest_containing_symbolic_power(
-        n, c, r, use_oracle=use_oracle, max_candidates=max_candidates))
-        for r in range(1, max_r + 1)]
+    return [(r, _least_containing_m(n, c, r)) for r in range(1, max_r + 1)]
 
 
 @dataclass(frozen=True)
@@ -226,7 +211,7 @@ def resurgence_report(n, c, witness_count=0, box=None, max_candidates=None):
     rho = resurgence(n, c)
     witnesses = []
     for k in range(1, witness_count + 1):
-        m, r = resurgence_witness(n, c, k)
+        m, r = _witness(n, c, k)
         witnesses.append((k, m, r, Fraction(m, r)))
     sup = argmax = None
     if box is not None:

@@ -60,8 +60,6 @@ INT_PARAMETERS = {
     "symbolic_power m": lambda x: si.symbolic_power(SPEC, x),
     "symbolic_power_oracle m": lambda x: si.symbolic_power_oracle(SPEC, x),
     "ordinary_power_min_gens r": lambda x: si.ordinary_power_min_gens(SPEC, x),
-    "decompose_exponent c": lambda x: si.decompose_exponent(x, 3),
-    "decompose_exponent m": lambda x: si.decompose_exponent(2, x),
     "containment_criterion n": lambda x: si.containment_criterion(x, 2, 3, 2),
     "containment_criterion c": lambda x: si.containment_criterion(2, x, 3, 2),
     "containment_criterion m": lambda x: si.containment_criterion(2, 2, x, 2),
@@ -142,8 +140,7 @@ BUDGETED = {
         lambda b: si.smallest_containing_symbolic_power(
             2, 2, 2, use_oracle=True, max_candidates=b),
     "containment_boundary":
-        lambda b: si.containment_boundary(2, 2, 2, use_oracle=True,
-                                          max_candidates=b),
+        lambda b: si.containment_boundary(2, 2, 1, max_candidates=b),
     "resurgence_report":
         lambda b: si.resurgence_report(2, 2, witness_count=1,
                                        max_candidates=b),
@@ -165,9 +162,9 @@ def test_budgets_take_none_or_an_int_at_least_zero(call):
 
 
 def test_unused_budgets_are_checked_too():
-    # without the oracle these two build nothing, and still refuse a bad
-    # budget; the least m is a closed form, and a budget of 0 fits only the
-    # empty table
+    # the least m without the oracle, and the table, build nothing, and
+    # still refuse a bad budget; the least m is a closed form, and a budget
+    # of 0 fits only the empty table
     assert si.smallest_containing_symbolic_power(2, 2, 2, max_candidates=0) == 3
     assert si.containment_boundary(2, 2, 0, max_candidates=0) == []
     for call in (lambda b: si.smallest_containing_symbolic_power(

@@ -20,7 +20,6 @@ from simplicial_ideals.containment import (
     containment_boundary,
     containment_criterion,
     containment_oracle,
-    decompose_exponent,
     empirical_resurgence_sup,
     resurgence,
     resurgence_report,
@@ -31,19 +30,6 @@ from simplicial_ideals.containment import (
 )
 
 
-def test_decompose_exponent():
-    # m = kc - p with k minimal, 0 <= p < c
-    assert decompose_exponent(2, 3) == (2, 1)
-    assert decompose_exponent(2, 4) == (2, 0)
-    assert decompose_exponent(2, 1) == (1, 1)
-    assert decompose_exponent(3, 7) == (3, 2)
-    assert decompose_exponent(1, 5) == (5, 0)
-    for c in range(1, 5):
-        for m in range(1, 20):
-            k, p = decompose_exponent(c, m)
-            assert m == k * c - p and 0 <= p < c
-
-
 def test_criterion_examples():
     assert containment_criterion(3, 2, 3, 2)
     assert not containment_criterion(2, 2, 2, 2)
@@ -52,6 +38,20 @@ def test_criterion_examples():
     for m in range(1, 8):
         for r in range(1, 8):
             assert containment_criterion(4, 1, m, r) == (r <= m)
+
+
+def test_criterion_splits_m_as_kc_minus_p():
+    # m = k*c - p with k the least k with k*c >= m, so 0 <= p < c; the
+    # split is found here by search, not by the library's ceiling division
+    for n in range(1, 7):
+        for c in range(1, n + 1):
+            for m in range(1, 20):
+                k = next(k for k in range(1, m + 1) if k * c >= m)
+                p = k * c - m
+                assert 0 <= p < c
+                for r in range(1, 13):
+                    assert containment_criterion(n, c, m, r) == \
+                        (r * (n - c + 2) <= (n + 1) * k - p), (n, c, m, r)
 
 
 def test_criterion_matches_oracle_small():
@@ -173,9 +173,12 @@ def test_smallest_containing_symbolic_power():
 
 
 def test_containment_boundary_routes_agree():
+    # the closed-form table against oracle least-m scans, one row at a time
     for n, c in [(n, c) for n in range(1, 4) for c in range(1, n + 1)]:
         fast = containment_boundary(n, c, 6)
-        slow = containment_boundary(n, c, 6, use_oracle=True)
+        slow = [(r, smallest_containing_symbolic_power(n, c, r,
+                                                       use_oracle=True))
+                for r in range(1, 7)]
         assert fast == slow
         rows = [m for _, m in fast]
         assert rows == sorted(rows)  # thresholds never decrease
@@ -192,6 +195,15 @@ def test_least_m_closed_form_matches_the_criterion_scan():
                 assert smallest_containing_symbolic_power(n, c, r) == least
 
 
+def test_containment_boundary_lists_the_least_m_rows():
+    # the table computes its rows itself, so it is pinned to the least m
+    for n in range(1, 13):
+        for c in range(1, n + 1):
+            assert containment_boundary(n, c, 60) == [
+                (r, smallest_containing_symbolic_power(n, c, r))
+                for r in range(1, 61)], (n, c)
+
+
 def test_least_m_scans_count_before_testing():
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError,
@@ -199,19 +211,11 @@ def test_least_m_scans_count_before_testing():
                              "2000000000 values of m, more than "
                              "max_candidates=2000000$"):
         smallest_containing_symbolic_power(2, 2, 10**9, use_oracle=True)
-    with pytest.raises(BudgetExceededError,
-                       match="^the least-m scans for r <= 100000 test up to "
-                             "10000100000 values of m, more than "
-                             "max_candidates=2000000$"):
-        containment_boundary(2, 2, 10**5, use_oracle=True)
     assert time.perf_counter() - start < 1
-    # the oracle route counts its scans: c*r = 6, and the table to r = 3
-    # tests up to 2 + 4 + 6 values of m
+    # the oracle route counts its scan: c*r = 6 values of m
     with pytest.raises(BudgetExceededError, match="^the least-m scan "):
         smallest_containing_symbolic_power(2, 2, 3, use_oracle=True,
                                            max_candidates=5)
-    with pytest.raises(BudgetExceededError, match="^the least-m scans "):
-        containment_boundary(2, 2, 3, use_oracle=True, max_candidates=11)
     # the criterion route scans nothing, so it answers at any budget, and
     # its table counts only its rows
     assert smallest_containing_symbolic_power(2, 2, 10**9) == 1333333333
@@ -262,6 +266,18 @@ def test_resurgence_report():
     assert bare.rho == 1 and bare.witnesses == [] and bare.box is None
 
 
+def test_resurgence_report_lists_resurgence_witness():
+    # the report computes its witnesses without re-checking (n, c, k), so it
+    # is pinned to the checked function, pair by pair
+    for n in range(1, 7):
+        for c in range(1, n + 1):
+            report = resurgence_report(n, c, witness_count=30)
+            assert report.witnesses == [
+                (k, *resurgence_witness(n, c, k),
+                 Fraction(*resurgence_witness(n, c, k)))
+                for k in range(1, 31)], (n, c)
+
+
 def test_resurgence_report_budget():
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError,
@@ -290,13 +306,11 @@ def test_parameter_validation():
             lambda: containment_criterion(2, 2, True, True),
             lambda: containment_criterion(2, 2, 1, True),
             lambda: containment_oracle(2, 2, True, 1),
-            lambda: decompose_exponent(True, 3),
             lambda: resurgence_witness(2, 2, True),
             lambda: symbolic_containment_sufficient(1, 1, True, 1),
             lambda: symbolic_containment_oracle(2, 1, 2, 1, True),
             lambda: smallest_containing_symbolic_power(2, 2, True),
             lambda: empirical_resurgence_sup(2, 2, True, 3),
-            lambda: decompose_exponent(0, 3),
             lambda: resurgence(0, 1),
             lambda: resurgence_witness(2, 2, 0),
             lambda: symbolic_containment_sufficient(0, 1, 1, 1),
@@ -311,8 +325,6 @@ def test_parameter_validation():
                 lambda: containment_criterion(2, 2, 2, bad),
                 lambda: containment_criterion(bad, 2, 2, 1),
                 lambda: containment_oracle(2, 2, bad, 1),
-                lambda: decompose_exponent(2, bad),
-                lambda: decompose_exponent(bad, 3),
                 lambda: resurgence(2, bad),
                 lambda: resurgence_witness(2, 2, bad),
                 lambda: symbolic_containment_sufficient(1, 1, bad, 1),
@@ -399,6 +411,7 @@ SPEC_CHECKED = {
     "smallest_containing_symbolic_power":
         lambda n, c: smallest_containing_symbolic_power(n, c, 1),
     "containment_boundary": lambda n, c: containment_boundary(n, c, 1),
+    "resurgence_report": resurgence_report,
 }
 
 
