@@ -4,7 +4,7 @@ Construct the ideals I(n,c), compute their ordinary and symbolic powers by
 independent routes, decide containments by closed-form criteria or brute
 force, and compute resurgence -- all in exact integer/rational arithmetic.
 The root exports this algebra only: the claim harness is in ``.verification``,
-and the CLI's ``load_config`` and ``CliConfig`` are in ``.config``.
+and the CLI's budget resolver ``load_config`` is in ``.config``.
 """
 
 from .containment import (

@@ -6,7 +6,7 @@ optional brute-force cross checks), ``resurgence`` (exact value, witnesses,
 box sweep) and ``verify`` (the claim harness, imported by it alone).
 
 Exit codes: 0 success, 1 a verified claim failed, 2 usage error, 3 a
-resource budget was exceeded.
+resource budget was exceeded or memory ran out.
 """
 
 import argparse
@@ -49,9 +49,8 @@ def _frac_text(value):
     return None if value is None else str(value)
 
 
-def _cmd_gens(args, config):
+def _cmd_gens(args, budget):
     spec = SimplicialSpec(args.n, args.c)
-    budget = config.max_candidates
     # counted (and checked against the budget) before the first byte is
     # written; the rows are then written as the stream yields them
     if args.power is not None:
@@ -64,7 +63,7 @@ def _cmd_gens(args, config):
         count, stream = simplicial_ideal_stream(spec, budget)
         kind, exponent = "ideal", None
     out = sys.stdout
-    if config.format != "json":
+    if args.format != "json":
         out.writelines(exps_lines(stream, args.n + 1))
         return EXIT_OK
     # the bytes of _dumps(payload) with the generator list written row by
@@ -82,7 +81,7 @@ def _cmd_gens(args, config):
     return EXIT_OK
 
 
-def _cmd_member(args, config):
+def _cmd_member(args, budget):
     spec = SimplicialSpec(args.n, args.c)
     mono = Monomial.parse(args.monomial, args.n)
     if args.symbolic is not None:
@@ -106,7 +105,7 @@ def _cmd_member(args, config):
         else:
             explain = (f"capped degree {capped} below required {required}"
                        f" (deficit {required - capped})")
-    if config.format == "json":
+    if args.format == "json":
         payload = {"query": {"n": args.n, "c": args.c, "kind": kind,
                              "exponent": exponent, "monomial": str(mono)},
                    "member": member, "detail": detail}
@@ -117,9 +116,9 @@ def _cmd_member(args, config):
     return EXIT_OK
 
 
-def _print_verdict(query, label, fast, oracle, config):
+def _print_verdict(query, label, fast, oracle, fmt):
     agree = None if oracle is None else fast == oracle
-    if config.format == "json":
+    if fmt == "json":
         sys.stdout.write(_dumps({"query": query, "fast": fast,
                                  "oracle": oracle, "agree": agree}))
     else:
@@ -131,41 +130,38 @@ def _print_verdict(query, label, fast, oracle, config):
     return agree
 
 
-def _cmd_containment(args, config):
+def _cmd_containment(args, budget):
     n, c, m, r = args.n, args.c, args.m, args.r
     fast = containment_criterion(n, c, m, r)
-    oracle = (containment_oracle(n, c, m, r,
-                                 max_candidates=config.max_candidates)
+    oracle = (containment_oracle(n, c, m, r, max_candidates=budget)
               if args.oracle else None)
     agree = _print_verdict({"n": n, "c": c, "m": m, "r": r},
                            f"I^({m})({n},{c}) in I({n},{c})^{r}",
-                           fast, oracle, config)
+                           fast, oracle, args.format)
     # the closed form is exact, so any oracle disagreement is a claim failure
     return EXIT_CLAIM_FAILED if agree is False else EXIT_OK
 
 
-def _cmd_containment_sym(args, config):
+def _cmd_containment_sym(args, budget):
     n, c, d, m, s = args.n, args.c, args.d, args.m, args.s
     # the sufficient condition never sees n: check c and d against it first
     _check_spec(n, c)
     _check_spec(n, d)
     fast = symbolic_containment_sufficient(c, d, m, s)
-    oracle = (symbolic_containment_oracle(n, c, d, m, s,
-                                          max_candidates=config.max_candidates)
+    oracle = (symbolic_containment_oracle(n, c, d, m, s, max_candidates=budget)
               if args.oracle else None)
     # the fast path is sufficient only: fast=false with oracle=true is
     # expected, so a disagreement is still exit 0
     _print_verdict({"n": n, "c": c, "d": d, "m": m, "s": s},
                    f"I^({m})({n},{c}) in I^({s})({n},{d})",
-                   fast, oracle, config)
+                   fast, oracle, args.format)
     return EXIT_OK
 
 
-def _cmd_resurgence(args, config):
+def _cmd_resurgence(args, budget):
     report = resurgence_report(args.n, args.c, witness_count=args.witnesses,
-                               box=args.box,
-                               max_candidates=config.max_candidates)
-    if config.format == "json":
+                               box=args.box, max_candidates=budget)
+    if args.format == "json":
         payload = {
             "n": report.n, "c": report.c, "rho": _frac_text(report.rho),
             "witnesses": [[k, m, r, _frac_text(ratio)]
@@ -193,14 +189,14 @@ def _cmd_resurgence(args, config):
     return EXIT_OK
 
 
-def _cmd_verify(args, config):
+def _cmd_verify(args, budget):
     from .verification import (DEEP_BOUNDS, DEFAULT_BOUNDS, results_to_records,
                                run_verification, summary_lines)
     results = run_verification(
-        args.scope, DEEP_BOUNDS if config.deep else DEFAULT_BOUNDS)
+        args.scope, DEEP_BOUNDS if args.deep else DEFAULT_BOUNDS)
     records = results_to_records(results, include_times=args.timings)
     failed = sum(1 for res in results if res.status != "pass")
-    payload = {"scope": args.scope, "deep": config.deep,
+    payload = {"scope": args.scope, "deep": args.deep,
                "passed": len(results) - failed, "failed": failed,
                "claims": records}
     if args.report:
@@ -209,7 +205,7 @@ def _cmd_verify(args, config):
                 fh.write(_dumps(payload))
         except OSError as exc:
             raise ParameterError(f"cannot write report {args.report}: {exc}")
-    if config.format == "json":
+    if args.format == "json":
         sys.stdout.write(_dumps(payload))
     else:
         for line in summary_lines(results, include_times=args.timings):
@@ -220,13 +216,14 @@ def _cmd_verify(args, config):
 
 
 def _common_args(p, budget):
-    p.add_argument("--format", choices=("text", "json"), default=None,
+    p.add_argument("--format", choices=("text", "json"), default="text",
                    help="output format (default text)")
     p.add_argument("--config", default=None, metavar="PATH",
                    help="config file of key = value lines")
     if budget:
         p.add_argument("--max-candidates", type=int, default=None, metavar="N",
-                       help="most generators a listing or oracle builds")
+                       help="most generators a listing or oracle builds; "
+                            "also the largest --box M and --witnesses K")
 
 
 def _spec_args(p, budget=True):
@@ -286,8 +283,7 @@ def _verify_args(p):
     from .verification import SCOPES
     _common_args(p, budget=False)
     p.add_argument("scope", choices=SCOPES)
-    p.add_argument("--deep", action=argparse.BooleanOptionalAction,
-                   default=None, help="widen every sweep")
+    p.add_argument("--deep", action="store_true", help="widen every sweep")
     p.add_argument("--report", default=None, metavar="PATH",
                    help="also write the JSON report here")
     p.add_argument("--timings", action="store_true",
@@ -337,17 +333,18 @@ def main(argv=None):
         # no command, or words it does not take: the full parser reports it
         args = build_parser().parse_args(argv)
     try:
-        config = load_config(
-            config_path=args.config,
-            overrides={"format": args.format,
-                       "max_candidates": getattr(args, "max_candidates", None),
-                       "deep": getattr(args, "deep", None)})
-        return args.handler(args, config)
+        budget = load_config(args.config, getattr(args, "max_candidates", None))
+        return args.handler(args, budget)
     except (ParameterError, MonomialParseError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceededError as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        # an allocation the budget let through failed: still a resource
+        # running out, not a failed claim
+        print("out of memory", file=sys.stderr)
         return EXIT_BUDGET
 
 

@@ -1,61 +1,38 @@
-"""Runtime configuration for the command line tool.
+"""The generator budget of the command line tool.
 
-Settings resolve in precedence order: explicit command line flags, then
-``SIDEAL_*`` environment variables, then a config file (``SIDEAL_CONFIG``
-or ``--config``), then built-in defaults.  The file format is flat
-``key = value`` lines with ``#`` comments.
+``max_candidates`` resolves in precedence order: the ``--max-candidates``
+flag, then the ``SIDEAL_MAX_CANDIDATES`` environment variable, then the
+``max_candidates`` key of a config file (``--config`` or ``SIDEAL_CONFIG``),
+then DEFAULT_MAX_CANDIDATES.  The file format is flat ``key = value`` lines
+with ``#`` comments.  The output format and the verify sweep depth are
+flags alone.
 """
 
 import os
-from dataclasses import dataclass, fields
 
 from .errors import DEFAULT_MAX_CANDIDATES, ParameterError, require_int
 
 ENV_PREFIX = "SIDEAL_"
+KEY = "max_candidates"
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    # the most generators any listing or oracle builds
-    max_candidates: int = DEFAULT_MAX_CANDIDATES
-    format: str = "text"
-    deep: bool = False
-
-
-_KEYS = {f.name for f in fields(CliConfig)}
-
-
-def _coerce(key, raw):
-    """The value of config key ``key`` given as ``raw``: a string from a
-    file or the environment, or a value from a flag or library override."""
-    if key == "max_candidates":
-        if isinstance(raw, str):
-            try:
-                raw = int(raw)
-            except ValueError:
-                raise ParameterError(f"config key {key}: expected integer, got {raw!r}")
-        require_int(key, raw, 1)
-        return raw
-    if key == "deep":
-        if type(raw) is bool:
-            return raw
-        lowered = raw.strip().lower() if isinstance(raw, str) else None
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ParameterError(f"config key {key}: expected boolean, got {raw!r}")
-    if key == "format":
-        if raw not in ("text", "json"):
-            raise ParameterError(f"config key format: expected text or json, got {raw!r}")
-        return raw
-    raise ParameterError(f"unknown config key {key!r}")
+def _coerce(raw):
+    """The budget given as ``raw``: a string from a file or the environment,
+    or a value from a flag or library override."""
+    if isinstance(raw, str):
+        try:
+            raw = int(raw)
+        except ValueError:
+            raise ParameterError(f"config key {KEY}: expected integer, got {raw!r}")
+    require_int(KEY, raw, 1)
+    return raw
 
 
 def parse_config_file(path):
-    """Read ``key = value`` pairs from a file.  Unknown keys and bad values
-    are errors that name the file and line."""
-    settings = {}
+    """The budget a file of ``key = value`` lines sets, or None if it sets
+    none.  Unknown keys and bad values are errors that name the file and
+    line."""
+    budget = None
     try:
         with open(path) as fh:
             text = fh.read()
@@ -70,41 +47,34 @@ def parse_config_file(path):
                 f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _KEYS:
+        if key != KEY:
             raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            settings[key] = _coerce(key, raw.strip())
+            budget = _coerce(raw.strip())
         except ParameterError as exc:
             raise ParameterError(f"{path}:{lineno}: {exc}") from None
-    return settings
+    return budget
 
 
-def _env_settings(environ):
-    """Settings from SIDEAL_<KEY> variables.  Any other SIDEAL_* variable
-    but SIDEAL_CONFIG is an error, as an unknown key in a file is."""
-    keys = {ENV_PREFIX + key.upper(): key for key in _KEYS}
-    settings = {}
-    # iterate names only: os.environ decodes each value it yields
-    for name in environ:
-        if name in keys:
-            settings[keys[name]] = _coerce(keys[name], environ[name])
-        elif name.startswith(ENV_PREFIX) and name != ENV_PREFIX + "CONFIG":
-            raise ParameterError(f"unknown environment variable {name}")
-    return settings
+def load_config(config_path=None, max_candidates=None, environ=None):
+    """The resolved budget, an int >= 1.
 
-
-def load_config(config_path=None, overrides=None, environ=None):
-    """Resolve a CliConfig from all sources.
-
-    overrides holds values from parsed flags, checked as file values are;
-    keys mapped to None are treated as unset.
+    ``max_candidates`` is the flag's value, checked as a file value is;
+    None means unset.  The file is read and every SIDEAL_* variable
+    checked whichever source wins: any SIDEAL_* variable but
+    SIDEAL_MAX_CANDIDATES and SIDEAL_CONFIG is an error, as an unknown key
+    in a file is.
     """
     if environ is None:
         environ = os.environ
     path = config_path or environ.get(ENV_PREFIX + "CONFIG")
-    settings = parse_config_file(path) if path else {}
-    settings.update(_env_settings(environ))
-    if overrides:
-        settings.update((k, _coerce(k, v)) for k, v in overrides.items()
-                        if v is not None)
-    return CliConfig(**settings)
+    budget = parse_config_file(path) if path else None
+    # iterate names only: os.environ decodes each value it yields
+    for name in environ:
+        if name == ENV_PREFIX + KEY.upper():
+            budget = _coerce(environ[name])
+        elif name.startswith(ENV_PREFIX) and name != ENV_PREFIX + "CONFIG":
+            raise ParameterError(f"unknown environment variable {name}")
+    if max_candidates is not None:
+        budget = _coerce(max_candidates)
+    return DEFAULT_MAX_CANDIDATES if budget is None else budget

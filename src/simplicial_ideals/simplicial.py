@@ -28,7 +28,7 @@ membership test (``_ordinary_test``, ``_symbolic_test``) over it.
 
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
-from math import comb, factorial, prod
+from math import comb
 
 from .errors import DimensionError, ParameterError, budget_error, budget_limit, require_int
 from .ideals import MonomialIdeal, intersect_all
@@ -206,8 +206,13 @@ def _descending_permutations(seq, fixed):
 
 
 def _orbit_size(rep):
-    """Number of distinct permutations of ``rep``: len! / prod(mult!)."""
-    return factorial(len(rep)) // prod(map(factorial, map(rep.count, set(rep))))
+    """Number of distinct permutations of ``rep``: len! / prod(mult!),
+    built as a product of binomials so that no len! is ever formed."""
+    size, placed = 1, 0
+    for mult in map(rep.count, set(rep)):
+        placed += mult
+        size *= comb(placed, mult)
+    return size
 
 
 # the most generators _orbit_blocks lists and sorts at once

@@ -7,9 +7,9 @@ exact assertions.  Claims are grouped into three scopes -- ``triangle``
 F = I(3,1), E = I(3,2), V = I(3,3)) and ``general`` -- plus ``all``.
 
 Each claim reports pass/fail with the first counterexample found, and the
-sweep bounds it ran with.  Bounds come in a default preset (minutes on a
-laptop) and a wider ``deep`` preset.  A claim states its range once, as a
-str.format template over the VerificationBounds fields ("m <= {triangle_m}").
+sweep bounds it ran with.  Bounds come in a default preset and a wider
+``deep`` preset.  A claim states its range once, as a str.format template
+over the VerificationBounds fields ("m <= {triangle_m}").
 A runner takes the bounds and returns its first counterexample or None; the
 two claims that record data return (counterexample, detail).  A P^2 and a
 P^3 claim that are the n = 2 and n = 3 cases of one statement share a runner.

@@ -93,8 +93,7 @@ INT_PARAMETERS = {
     "resurgence_report box R":
         lambda x: si.resurgence_report(2, 2, box=(5, x)),
     "load_config max_candidates":
-        lambda x: config.load_config(environ={},
-                                     overrides={"max_candidates": x}),
+        lambda x: config.load_config(environ={}, max_candidates=x),
 }
 
 

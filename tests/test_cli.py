@@ -347,7 +347,7 @@ def _parse_exit(parse, argv):
     return exc.value.code, out.getvalue(), err.getvalue()
 
 
-def _print_words(args, config=None):
+def _print_words(args, budget=None):
     # stands in for every handler: prints what was parsed, not an answer
     print(sorted((k, v) for k, v in vars(args).items() if k != "command"))
     sys.exit(0)
@@ -490,6 +490,31 @@ def test_budget_errors_exit_three(capsys):
     assert err.endswith("more than max_candidates=100\n")
 
 
+def test_memory_error_exits_three(capsys, monkeypatch):
+    # an allocation the budget let through can still fail, as I(10**9, 1)'s
+    # one generator of 10**9 + 1 exponents does under a memory limit
+    def out_of_memory(args, budget):
+        raise MemoryError
+
+    monkeypatch.setattr("simplicial_ideals.cli._cmd_gens", out_of_memory)
+    assert run_cli(capsys, "gens", "--n", "2", "--c", "2") == (
+        3, "", "out of memory\n")
+
+
+def test_orbit_count_of_a_long_representative_is_fast(capsys):
+    # one representative of 10**6 entries: its orbit is counted without
+    # forming (10**6)!
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "gens", "--n", "999999", "--c", "1",
+                           "--power", "1")
+    assert code == 0 and out.count("\n") == 1
+    code, out, err = run_cli(capsys, "gens", "--n", "999999", "--c", "999999",
+                             "--symbolic", "1")
+    assert code == 3 and out == ""
+    assert "has 499999500000 generators" in err
+    assert time.perf_counter() - start < 10
+
+
 CALL_SECONDS = 5  # generous: the slowest drawn call takes well under 1 s
 
 
@@ -540,23 +565,26 @@ def test_listings_and_oracles_stay_within_budget(n, data):
         assert len(out.splitlines()) == 3 + int(count) - (count == "0")
 
 
+# I(2,2) has 3 generators: a budget of 2 refuses the listing, 3 lists it
+GENS_I22 = ("gens", "--n", "2", "--c", "2")
+
+
 def test_env_and_flag_precedence(capsys, monkeypatch):
-    monkeypatch.setenv("SIDEAL_FORMAT", "json")
-    code, out, _ = run_cli(capsys, "resurgence", "--n", "2", "--c", "2")
-    assert json.loads(out)["rho"] == "4/3"
-    code, out, _ = run_cli(capsys, "resurgence", "--n", "2", "--c", "2",
-                           "--format", "text")
-    assert out == "rho(I(2,2)) = 4/3\n"
+    monkeypatch.setenv("SIDEAL_MAX_CANDIDATES", "2")
+    code, out, err = run_cli(capsys, *GENS_I22)
+    assert code == 3 and out == ""
+    assert err.endswith("more than max_candidates=2\n")
+    code, out, _ = run_cli(capsys, *GENS_I22, "--max-candidates", "3")
+    assert code == 0 and out == "x0*x1\nx0*x2\nx1*x2\n"
 
 
 def test_config_file_flag(tmp_path, capsys):
     conf = tmp_path / "sideal.conf"
-    conf.write_text("format = json\n")
-    code, out, _ = run_cli(capsys, "resurgence", "--n", "2", "--c", "2",
-                           "--config", str(conf))
-    assert code == 0
-    assert json.loads(out)["rho"] == "4/3"
-    code, _, err = run_cli(capsys, "resurgence", "--n", "2", "--c", "2",
+    conf.write_text("max_candidates = 2\n")
+    code, out, err = run_cli(capsys, *GENS_I22, "--config", str(conf))
+    assert code == 3 and out == ""
+    assert err.endswith("more than max_candidates=2\n")
+    code, _, err = run_cli(capsys, *GENS_I22,
                            "--config", str(tmp_path / "missing.conf"))
     assert code == 2
 
