@@ -81,8 +81,9 @@ class Monomial:
         this: ``__mul__`` and ``lcm``, and ``MonomialIdeal.gens``, which
         wraps the exponent tuples every ideal keeps: the minimal tuples
         among validated exponent vectors of one ring, or their sums and
-        maxima; the face-prime powers (compositions of m placed in
-        n+1 >= 2 coordinates); and the stream of ``simplicial._orbits``.
+        maxima; the face-prime powers and the symbolic power oracle's
+        lifts (such tuples plus compositions placed in n+1 >= 2
+        coordinates); and the stream of ``simplicial._orbits``.
         Input from users goes through ``__init__``, which validates it.
         """
         self = object.__new__(cls)

@@ -7,7 +7,8 @@ of degree n+2-c.  This module builds them and computes
 
 * symbolic powers, by two independent routes: the exponent criterion
   (every c-subset of coordinates sums to at least m) and the intersection
-  of the m-th powers of the codimension-c coordinate primes;
+  of the m-th powers of the codimension-c coordinate primes, taken one
+  prime at a time by lifting each generator into the next prime's power;
 * ordinary powers, by the closed form for their minimal generators
   (total degree exactly (n-c+2)r with every exponent <= r).
 
@@ -31,7 +32,7 @@ from itertools import chain, combinations, repeat
 from math import comb
 
 from .errors import DimensionError, ParameterError, budget_error, budget_limit, require_int
-from .ideals import MonomialIdeal, intersect_all
+from .ideals import MonomialIdeal, _reduce_to_antichain
 
 
 @dataclass(frozen=True)
@@ -76,18 +77,29 @@ class FacePrime:
     def power_ideal(self, m):
         """m-th power: generated by all degree-m monomials in the c variables."""
         require_int("m", m, 1)
-        c = len(self.variables)
-        tuples = []
-        # compositions of m into c parts, via bar positions, over distinct
-        # variables: one degree, so an antichain, in descending lex order
-        for bars in combinations(range(m + c - 1), c - 1):
-            exps = [0] * (self.n + 1)
-            prev = -1
-            for var, bar in zip(self.variables, bars + (m + c - 1,)):
-                exps[var] = bar - prev - 1
-                prev = bar
-            tuples.append(tuple(exps))
-        return MonomialIdeal._from_canonical(self.n, sorted(tuples, reverse=True))
+        # the lifts of the unit monomial: one degree, so an antichain
+        lifts = _lifts([(0,) * (self.n + 1)], [m], self.variables)
+        return MonomialIdeal._from_canonical(self.n, sorted(lifts, reverse=True))
+
+
+def _lifts(gens, deficits, variables):
+    """The candidates of one step of symbolic_power_oracle: each exponent
+    tuple g of ``gens`` itself if its deficit k, the matching entry of
+    ``deficits``, is at most 0, and otherwise g + b for each composition b
+    of k over ``variables``."""
+    c = len(variables)
+    for g, k in zip(gens, deficits):
+        if k <= 0:
+            yield g
+            continue
+        # compositions of k into c parts, via bar positions, placed over
+        # the variables
+        for bars in combinations(range(k + c - 1), c - 1):
+            exps = list(g)
+            for var, low, high in zip(variables, (-1,) + bars,
+                                      bars + (k + c - 1,)):
+                exps[var] += high - low - 1
+            yield tuple(exps)
 
 
 def simplicial_ideal_stream(spec, max_candidates=None):
@@ -338,13 +350,25 @@ def symbolic_power(spec, m, max_candidates=None):
 
 def symbolic_power_oracle(spec, m, max_candidates=None):
     """Symbolic power via its definition for a radical monomial ideal:
-    the intersection over all face primes of their m-th ordinary powers.
+    the intersection over all face primes P_S of their m-th powers.
+    Independent of symbolic_power; the two must agree.
 
-    Independent of symbolic_power; the two must agree.  Before anything is
-    built, the binomial(n+1, c) * binomial(m+c-1, c-1) generators of the
-    face-prime powers are counted against ``max_candidates`` (see
-    budget_limit), which also bounds each fold's lcm pairs (see
-    intersect_all).
+    From the unit ideal, each c-subset S in lexicographic order turns the
+    minimal generators of the running ideal J into those of J meet P_S^m,
+    building no P_S^m and no lcm: a generator g whose entries over S sum
+    to s_g >= m is kept, any other gives way to its lifts g + b, b a
+    composition of m - s_g over S (_lifts), and _reduce_to_antichain keeps
+    the minimal candidates.  Exact, as J meet P_S^m = sum over g of
+    g * P_S^max(m - s_g, 0): x^(g+e) lies in P_S^m iff e sums to at least
+    m - s_g over S.  A kept g is minimal by the intersection's pruning
+    argument (ideals module docstring): whatever in J meet P_S^m divides g
+    lies in J.
+
+    The binomial(n+1, c) * binomial(m+c-1, c-1) generators of the
+    face-prime powers, which bound the steps, are counted against
+    ``max_candidates`` (see budget_limit) before anything is built, and
+    each step's candidates, the sum over g of binomial(max(m - s_g, 0) +
+    c - 1, c - 1), before that step.
     """
     require_int("m", m, 1)
     n, c = spec.n, spec.c
@@ -353,8 +377,16 @@ def symbolic_power_oracle(spec, m, max_candidates=None):
     if count > limit:
         raise budget_error(f"the face-prime powers of I^({m})({n},{c}) have "
                            f"{count} generators", limit)
-    powers = [p.power_ideal(m) for p in face_primes(spec)]
-    return intersect_all(powers, limit)
+    gens = [(0,) * (n + 1)]
+    for subset in combinations(range(n + 1), c):
+        deficits = [m - sum(map(g.__getitem__, subset)) for g in gens]
+        count = sum(comb(max(k, 0) + c - 1, c - 1) for k in deficits)
+        if count > limit:
+            raise budget_error(f"the face-prime step {subset} of "
+                               f"I^({m})({n},{c}) forms {count} candidates",
+                               limit)
+        gens = _reduce_to_antichain(_lifts(gens, deficits, subset))
+    return MonomialIdeal._from_canonical(n, gens)
 
 
 def ordinary_power_stream(spec, r, max_candidates=None):

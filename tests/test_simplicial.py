@@ -35,6 +35,7 @@ from simplicial_ideals import (
     symbolic_power,
     symbolic_power_oracle,
 )
+from simplicial_ideals import simplicial
 from simplicial_ideals.simplicial import (
     _partitions,
     ordinary_member_detail,
@@ -339,3 +340,43 @@ def test_oracle_counts_face_prime_powers_before_building():
             == symbolic_power(spec, 3))
     with pytest.raises(BudgetExceededError, match="have 5 generators"):
         symbolic_power_oracle(spec, 3, max_candidates=4)
+
+
+def test_oracle_counts_each_step_before_lifting(monkeypatch):
+    # I^(5)(2,2): the three face-prime powers have 18 generators, which fit
+    # a budget of 20, but the step at (0, 2) lifts the 6 generators of
+    # P_(0,1)^5 into 21 candidates; it raises before building any of them
+    spec = SimplicialSpec(2, 2)
+    real = simplicial._reduce_to_antichain
+    built = []
+
+    def record(tuples):
+        tuples = list(tuples)
+        built.append(len(tuples))
+        return real(tuples)
+
+    monkeypatch.setattr(simplicial, "_reduce_to_antichain", record)
+    with pytest.raises(BudgetExceededError,
+                       match=r"^the face-prime step \(0, 2\) of "
+                             r"I\^\(5\)\(2,2\) forms 21 candidates, "
+                             "more than max_candidates=20$"):
+        symbolic_power_oracle(spec, 5, max_candidates=20)
+    assert built == [6]
+    built.clear()
+    assert (symbolic_power_oracle(spec, 5, max_candidates=21)
+            == symbolic_power(spec, 5))
+    assert max(built) <= 21 and len(built) == 3
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_generic_face_prime_intersection_matches_both_routes(n):
+    # the fold of intersect_all over the built face-prime powers, the
+    # generic route the oracle no longer takes, on the routes claim's
+    # default box
+    for c in range(1, n + 1):
+        spec = SimplicialSpec(n, c)
+        for m in range(1, 6):
+            generic = intersect_all([p.power_ideal(m)
+                                     for p in face_primes(spec)])
+            assert generic == symbolic_power_oracle(spec, m), (n, c, m)
+            assert generic == symbolic_power(spec, m), (n, c, m)

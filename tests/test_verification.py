@@ -160,6 +160,13 @@ BROKEN_CLAIMS = {
         "general/cross-codimension-sufficiency", verification,
         "_symbolic_test", lambda real: lambda spec, s: lambda exps: False,
         {"n": 1, "c": 1, "d": 1, "m": 1, "s": 1}),
+    # I^(1)(1,1) built as I^(2)(1,1): the routes differ at the first cell
+    "symbolic-routes": (
+        "general/symbolic-routes-agree", verification,
+        "symbolic_power_oracle",
+        lambda real: lambda spec, m: real(spec, m + 1) if m == 1
+        else real(spec, m),
+        {"n": 1, "c": 1, "m": 1}),
     "multiple-of-codimension": (
         "general/multiple-of-codimension-containment", verification,
         "containment_criterion", lambda real: lambda *args: False,
@@ -298,6 +305,12 @@ def test_routes_box_covers_multiplicative_inclusion(preset):
     "general/containment-boundary-consistency"])
 def test_deep_representative_boxes_reach_n_8(claim_id):
     assert _limits(claim_id)["top_n"][1] == 8
+
+
+def test_deep_routes_box_reaches_n_6():
+    # the face-prime route checks every I^(m) with n <= 6, m <= 6 at deep
+    assert _limits("general/symbolic-routes-agree")["top_n"][1] == 6
+    assert _limits("general/symbolic-routes-agree")["top_m"][1] == 6
 
 
 def test_multiplicative_inclusion_full_route():
