@@ -394,13 +394,21 @@ def ordinary_power_stream(spec, r, max_candidates=None):
 
     They are exactly the exponent vectors of total degree (n-c+2)*r with
     every entry <= r; equal total degree makes the set an antichain, so no
-    reduction step is needed.  Their representatives are the partitions of
-    (n-c+2)*r into n+1 parts of at most r, counted and streamed by _orbits.
+    reduction step is needed.  Their representatives, listed by
+    _ordinary_representatives, are counted and streamed by _orbits.
     """
     require_int("r", r, 1)
-    n, c = spec.n, spec.c
-    return _orbits(_partitions((n - c + 2) * r, n + 1, r), max_candidates,
-                   f"I({n},{c})^{r}")
+    return _orbits(_ordinary_representatives(spec, r), max_candidates,
+                   f"I({spec.n},{spec.c})^{r}")
+
+
+def _ordinary_representatives(spec, r):
+    """The orbit representatives of the minimal generators of I(n,c)^r,
+    weakly decreasing, in descending lex order: the partitions of
+    (n-c+2)*r into n+1 parts of at most r (see ordinary_power_stream).
+    Callers check r.  A permutation-invariant test may stop at these; the
+    argument is in _symbolic_representatives."""
+    return _partitions((spec.n - spec.c + 2) * r, spec.n + 1, r)
 
 
 def ordinary_power_min_gens(spec, r, max_candidates=None):
@@ -413,8 +421,8 @@ def ordinary_power_min_gens(spec, r, max_candidates=None):
 def _ordinary_test(spec, r):
     """The exponent-tuple test for I(n,c)^r, built once per query: the
     entries capped at r sum to >= (n-c+2)*r.  The oracle maps it over a
-    generator stream, and the claims over _symbolic_representatives;
-    callers check r and the tuples' length."""
+    generator stream, and the claims over the representatives of a
+    symbolic or ordinary power; callers check r and the tuples' length."""
     required = (spec.n - spec.c + 2) * r
     return lambda exps: sum(map(min, exps, repeat(r))) >= required
 

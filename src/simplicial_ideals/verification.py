@@ -35,6 +35,7 @@ from .errors import ParameterError
 from .ideals import MonomialIdeal
 from .simplicial import (
     SimplicialSpec,
+    _ordinary_representatives,
     _ordinary_test,
     _symbolic_representatives,
     _symbolic_test,
@@ -387,19 +388,18 @@ def _run_power_incl(top_n, top_ab):
 
 @_claim("general/filtrations-descend",
         "I^(m+1) inside I^(m) and I^(r+1) inside I^r for both power towers",
-        "n <= {top_n}, m <= {top_m}", top_n=(4, 4), top_m=(4, 6))
+        "n <= {top_n}, m <= {top_m}", top_n=(4, 8), top_m=(4, 8))
 def _run_filtrations(top_n, top_m):
+    # each power's membership test on the orbit representatives of the next
+    # power (m also stands for r); exact by _symbolic_representatives
     for n, c in _specs_up_to(top_n):
         spec = SimplicialSpec(n, c)
-        I = simplicial_ideal(spec)
-        # each tower once, from exponent 1 to top_m + 1: index m holds
-        # power m+1
-        symbolic = [symbolic_power(spec, m) for m in range(1, top_m + 2)]
-        ordinary = [I ** r for r in range(1, top_m + 2)]
         for m in range(1, top_m + 1):
-            if not symbolic[m] <= symbolic[m - 1]:
+            if not all(map(_symbolic_test(spec, m),
+                           _symbolic_representatives(spec, m + 1))):
                 return {"n": n, "c": c, "m": m, "tower": "symbolic"}
-            if not ordinary[m] <= ordinary[m - 1]:
+            if not all(map(_ordinary_test(spec, m),
+                           _ordinary_representatives(spec, m + 1))):
                 return {"n": n, "c": c, "m": m, "tower": "ordinary"}
     return None
 
@@ -407,7 +407,7 @@ def _run_filtrations(top_n, top_m):
 @_claim("general/resurgence-strict-bound",
         "every noncontained (m, r) has m/r strictly below the resurgence, "
         "and every m/r strictly above it is a containment",
-        "n <= {top_n}, box {box}x{box}", top_n=(4, 4), box=(12, 30))
+        "n <= {top_n}, box {box}x{box}", top_n=(4, 12), box=(12, 30))
 def _run_res_strict(top_n, box):
     for n, c in _specs_up_to(top_n):
         rho = resurgence(n, c)
@@ -427,7 +427,7 @@ def _run_res_strict(top_n, box):
 @_claim("general/witness-sequence-converges",
         "witness pairs (kc, floor((n+1)k/(n-c+2))+1) are noncontained with "
         "ratios strictly below the resurgence yet within rho/k of it",
-        "n <= {top_n}, k <= {top_k}", top_n=(4, 4), top_k=(100, 200))
+        "n <= {top_n}, k <= {top_k}", top_n=(4, 12), top_k=(100, 200))
 def _run_witnesses(top_n, top_k):
     for n, c in _specs_up_to(top_n):
         rho = resurgence(n, c)

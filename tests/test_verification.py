@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from simplicial_ideals import (MonomialIdeal, ParameterError, SimplicialSpec,
-                               symbolic_power, verification)
+                               simplicial_ideal, symbolic_power, verification)
 from simplicial_ideals.verification import (
     SCOPES,
     ClaimResult,
@@ -171,15 +171,16 @@ BROKEN_CLAIMS = {
         "general/multiple-of-codimension-containment", verification,
         "containment_criterion", lambda real: lambda *args: False,
         {"n": 1, "c": 1, "r": 1}),
+    # every listing holds only the unit monomial, which lies in no I^(m)
     "symbolic-tower": (
-        "general/filtrations-descend", verification, "symbolic_power",
-        lambda real: lambda spec, m: (MonomialIdeal(spec.n) if m == 1
-                                      else real(spec, m)),
+        "general/filtrations-descend", verification,
+        "_symbolic_representatives",
+        lambda real: lambda spec, m: iter([(0,) * (spec.n + 1)]),
         {"n": 1, "c": 1, "m": 1, "tower": "symbolic"}),
+    # every I^r tested as the zero ideal, after the symbolic tower passes
     "ordinary-tower": (
-        "general/filtrations-descend", MonomialIdeal, "__pow__",
-        lambda real: lambda ideal, r: (MonomialIdeal(ideal.n) if r == 1
-                                       else real(ideal, r)),
+        "general/filtrations-descend", verification, "_ordinary_test",
+        lambda real: lambda spec, r: lambda exps: False,
         {"n": 1, "c": 1, "m": 1, "tower": "ordinary"}),
     "noncontained-at-rho": (
         "general/resurgence-strict-bound", verification,
@@ -302,9 +303,21 @@ def test_routes_box_covers_multiplicative_inclusion(preset):
 @pytest.mark.parametrize("claim_id", [
     "general/containment-criterion-exactness",
     "general/cross-codimension-sufficiency",
-    "general/containment-boundary-consistency"])
+    "general/containment-boundary-consistency",
+    "general/filtrations-descend"])
 def test_deep_representative_boxes_reach_n_8(claim_id):
     assert _limits(claim_id)["top_n"][1] == 8
+
+
+def test_deep_filtrations_box_reaches_m_8():
+    assert _limits("general/filtrations-descend")["top_m"][1] == 8
+
+
+@pytest.mark.parametrize("claim_id", [
+    "general/resurgence-strict-bound",
+    "general/witness-sequence-converges"])
+def test_deep_resurgence_boxes_reach_n_12(claim_id):
+    assert _limits(claim_id)["top_n"][1] == 12
 
 
 def test_deep_routes_box_reaches_n_6():
@@ -323,3 +336,17 @@ def test_multiplicative_inclusion_full_route():
                 for b in range(1, 4):
                     product = sym_a ** b
                     assert product <= symbolic_power(spec, a * b), (n, c, a, b)
+
+
+def test_filtrations_full_route():
+    # the filtrations claim's former body: both towers built in full and
+    # compared with <=, no symmetry
+    for n in range(1, 5):
+        for c in range(1, n + 1):
+            spec = SimplicialSpec(n, c)
+            ideal = simplicial_ideal(spec)
+            symbolic = [symbolic_power(spec, m) for m in range(1, 6)]
+            ordinary = [ideal ** r for r in range(1, 6)]
+            for m in range(1, 5):
+                assert symbolic[m] <= symbolic[m - 1], (n, c, m)
+                assert ordinary[m] <= ordinary[m - 1], (n, c, m)
