@@ -31,7 +31,6 @@ from .monomials import Monomial
 from .simplicial import (
     FacePrime,
     SimplicialSpec,
-    face_primes,
     ordinary_member,
     ordinary_power_min_gens,
     simplicial_ideal,

@@ -14,6 +14,8 @@ from .errors import DEFAULT_MAX_CANDIDATES, ParameterError, require_int
 
 ENV_PREFIX = "SIDEAL_"
 KEY = "max_candidates"
+_ENV_BUDGET = ENV_PREFIX + KEY.upper()
+_ENV_CONFIG = ENV_PREFIX + "CONFIG"
 
 
 def _coerce(raw):
@@ -67,14 +69,15 @@ def load_config(config_path=None, max_candidates=None, environ=None):
     """
     if environ is None:
         environ = os.environ
-    path = config_path or environ.get(ENV_PREFIX + "CONFIG")
+    path = config_path or environ.get(_ENV_CONFIG)
     budget = parse_config_file(path) if path else None
     # iterate names only: os.environ decodes each value it yields
     for name in environ:
-        if name == ENV_PREFIX + KEY.upper():
-            budget = _coerce(environ[name])
-        elif name.startswith(ENV_PREFIX) and name != ENV_PREFIX + "CONFIG":
-            raise ParameterError(f"unknown environment variable {name}")
+        if name.startswith(ENV_PREFIX):
+            if name == _ENV_BUDGET:
+                budget = _coerce(environ[name])
+            elif name != _ENV_CONFIG:
+                raise ParameterError(f"unknown environment variable {name}")
     if max_candidates is not None:
         budget = _coerce(max_candidates)
     return DEFAULT_MAX_CANDIDATES if budget is None else budget

@@ -8,20 +8,15 @@ new canonical ideals.
 
 An ideal keeps its antichain as exponent tuples, and every operation works
 on them from start to end: sum, product and intersection form their
-candidates column-wise as tuples, ``_reduce_to_antichain`` takes tuples and
-returns the minimal ones, and the ideal keeps those.  Only the validating
-constructor and the trusted ``_from_canonical`` build an ideal.  ``gens``
-wraps the tuples in ``Monomial`` only when someone asks for them.
+candidates as tuples (the product column-wise), ``_reduce_to_antichain``
+takes tuples and returns the minimal ones, and the ideal keeps those.
+Only the validating constructor and the trusted ``_from_canonical`` build
+an ideal.  ``gens`` wraps the tuples in ``Monomial`` only when someone asks
+for them.
 
-The intersection prunes both operands first: a generator g of either ideal
-that lies in the other is a minimal generator of the intersection, since
-whatever in the intersection divides g lies in g's own ideal, whose
-generators form an antichain.  So g is kept as it is, and it forms no lcm:
-each of its lcms is a multiple of it.
-
-Every batch of divisibility tests -- reduction to the antichain, containment
-``<=`` and the intersection's pruning -- goes through one structure,
-``_DivisorIndex``; ``contains``, a single query, scans the generators.
+Every batch of divisibility tests -- reduction to the antichain and
+containment ``<=`` -- goes through one structure, ``_DivisorIndex``;
+``contains``, a single query, scans the generators.
 Tuple k of an index owns bit k.  For each coordinate i and each value v up
 to ``top``, the largest indexed entry, the index keeps the int whose set
 bits are the tuples with entry i <= v.  A vector a has a divisor in the
@@ -32,8 +27,8 @@ so the masks never grow with the size of an exponent.
 """
 
 from bisect import bisect_right
-from itertools import accumulate, chain, compress, count, filterfalse, repeat
-from operator import add, getitem, le, lshift, not_, or_
+from itertools import accumulate, chain, count, filterfalse, repeat
+from operator import add, getitem, le, lshift, or_
 
 from .errors import DimensionError, ParameterError, budget_error, budget_limit, require_int
 from .monomials import Monomial, exps_text
@@ -129,9 +124,6 @@ def _reduce_to_antichain(tuples):
     Tuples in, tuples out: callers form their candidates as raw exponent
     tuples, and the ideal keeps the minimal ones as they are
     (``MonomialIdeal._from_canonical``).
-    The intersection's candidates include the generators it pruned; those
-    are minimal already (see the module docstring), and the sweep keeps
-    them as it keeps any tuple that no other divides.
 
     Candidates are deduplicated and bucketed by total degree.  A strict
     divisor has strictly smaller total degree (distinct tuples of equal
@@ -252,28 +244,8 @@ class MonomialIdeal:
 
     def intersect(self, other):
         self._check_same_ring(other)
-        mine, theirs = self._exps, other._exps
-        # a generator that lies in the other ideal is kept as a minimal
-        # generator (see the module docstring); only the pairs of generators
-        # outside each other's ideal form lcms
-        mine_in = list(_divisible(mine, theirs))
-        theirs_in = list(_divisible(theirs, mine))
-        candidates = set(compress(mine, mine_in))
-        candidates.update(compress(theirs, theirs_in))
-        outside = list(compress(theirs, map(not_, theirs_in)))
-        # column-wise: coordinate i of lcm(g, h) is max(g_i, h_i) for every
-        # h at once, and a g_i at or below (above) the whole column leaves
-        # the column (a run of g_i)
-        rows = len(outside)
-        columns = list(zip(*outside))
-        bounds = list(zip(map(min, columns), map(max, columns)))
-        for g in compress(mine, map(not_, mine_in)):
-            candidates.update(zip(*[
-                column if e <= low else
-                repeat(e, rows) if e >= high else
-                map(max, repeat(e), column)
-                for e, column, (low, high) in zip(g, columns, bounds)]))
-        return self._from_canonical(self.n, _reduce_to_antichain(candidates))
+        lcms = {tuple(map(max, g, h)) for g in self._exps for h in other._exps}
+        return self._from_canonical(self.n, _reduce_to_antichain(lcms))
 
     __and__ = intersect
 
@@ -313,9 +285,9 @@ def intersect_all(ideals, max_candidates=None):
     """Intersection of a non-empty sequence of ideals in the same ring.
 
     Folds pairwise, canonicalizing after every fold so intermediate generator
-    sets stay reduced.  A fold of ideals with g and h generators forms at
-    most g*h lcm candidates; BudgetExceededError is raised, before the fold,
-    when that passes ``max_candidates`` (see budget_limit).
+    sets stay reduced.  A fold of ideals with g and h generators forms
+    exactly g*h lcm candidates; BudgetExceededError is raised, before the
+    fold, when that passes ``max_candidates`` (see budget_limit).
     """
     ideals = list(ideals)
     if not ideals:

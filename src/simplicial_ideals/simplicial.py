@@ -106,23 +106,18 @@ def simplicial_ideal_stream(spec, max_candidates=None):
     """(count, stream) of the minimal generators of I(n,c): all squarefree
     monomials of degree n+2-c in x_0..x_n.
 
-    They are the binomial(n+1, n+2-c) permutations of (1,)*(n+2-c) +
-    (0,)*(c-1); _orbits counts them against ``max_candidates``.
+    I(n,c) = I(n,c)^1, so its one representative, (1,)*(n+2-c) +
+    (0,)*(c-1), is _ordinary_representatives(spec, 1), and _orbits counts
+    its binomial(n+1, n+2-c) permutations against ``max_candidates``.
     """
-    n, c = spec.n, spec.c
-    return _orbits([(1,) * (n + 2 - c) + (0,) * (c - 1)], max_candidates,
-                   f"I({n},{c})")
+    return _orbits(_ordinary_representatives(spec, 1), max_candidates,
+                   f"I({spec.n},{spec.c})")
 
 
 def simplicial_ideal(spec, max_candidates=None):
     """I(n,c), built from simplicial_ideal_stream."""
     _, stream = simplicial_ideal_stream(spec, max_candidates)
     return MonomialIdeal._from_canonical(spec.n, stream)
-
-
-def face_primes(spec):
-    """All binomial(n+1, c) face primes, in lexicographic variable order."""
-    return [FacePrime(spec.n, sub) for sub in combinations(range(spec.n + 1), spec.c)]
 
 
 def _ring_exps(spec, a):
@@ -360,9 +355,8 @@ def symbolic_power_oracle(spec, m, max_candidates=None):
     composition of m - s_g over S (_lifts), and _reduce_to_antichain keeps
     the minimal candidates.  Exact, as J meet P_S^m = sum over g of
     g * P_S^max(m - s_g, 0): x^(g+e) lies in P_S^m iff e sums to at least
-    m - s_g over S.  A kept g is minimal by the intersection's pruning
-    argument (ideals module docstring): whatever in J meet P_S^m divides g
-    lies in J.
+    m - s_g over S.  A kept g is minimal: whatever in J meet P_S^m divides
+    g lies in J, whose minimal generators form an antichain.
 
     The binomial(n+1, c) * binomial(m+c-1, c-1) generators of the
     face-prime powers, which bound the steps, are counted against

@@ -3,7 +3,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _brute import _minimalize
-from simplicial_ideals import ideals
 from simplicial_ideals import (
     BudgetExceededError,
     DimensionError,
@@ -101,8 +100,9 @@ def ideal_pair_case(draw):
 @st.composite
 def multiples_pair_case(draw):
     """Two ideals of one ring n in 1..4 where one is drawn from multiples of
-    the other's generators, plus a few unrelated generators, so that the
-    intersection's pruning fires on self or on other; and a monomial."""
+    the other's generators, plus a few unrelated generators, so that some
+    generators of self or of other lie in the other ideal; and a
+    monomial."""
     n = draw(st.integers(1, 4))
     monos = st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1).map(
         Monomial)
@@ -144,22 +144,11 @@ def _lcm_route(I, J):
     return _minimalize({a.lcm(b) for a in I.gens for b in J.gens})[::-1]
 
 
-def _pruned_candidates(I, J):
-    """The lcm candidates an intersection should reduce, by naive divides:
-    each generator of either ideal that lies in the other, and the lcms of
-    the pairs of generators outside each other's ideal."""
-    def inside(g, K):
-        return any(h.divides(g) for h in K.gens)
-    kept = {g for g in I.gens if inside(g, J)} | {h for h in J.gens if inside(h, I)}
-    return kept | {g.lcm(h) for g in I.gens if not inside(g, J)
-                   for h in J.gens if not inside(h, I)}
-
-
 UNIT = ideal_of(2, (0, 0, 0))
 ZERO = MonomialIdeal(2)
 SQUARES = ideal_of(2, (2, 0, 0), (0, 2, 0), (0, 0, 2))
 INTERSECTION_CASES = {
-    # J inside I: I & J = J, and no lcm is formed
+    # J inside I: I & J = J
     "other-inside-self": (ideal_of(2, (1, 0, 0), (0, 1, 0)),
                           ideal_of(2, (2, 0, 0), (1, 1, 1), (0, 3, 2))),
     # I inside J: I & J = I
@@ -171,7 +160,7 @@ INTERSECTION_CASES = {
     # one generator of self lies in other, beside two that do not
     "self-partly-inside": (ideal_of(2, (2, 2, 0), (1, 0, 1), (0, 1, 1)),
                            ideal_of(2, (1, 1, 0), (0, 0, 2))),
-    # both operands prune, and a generator is shared
+    # generators of both lie in the other, and a generator is shared
     "both-partly-inside": (ideal_of(2, (2, 0, 0), (1, 1, 1), (0, 0, 3)),
                            ideal_of(2, (2, 0, 0), (0, 1, 1), (3, 3, 0))),
     "zero-self": (ZERO, SQUARES),
@@ -183,24 +172,14 @@ INTERSECTION_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(INTERSECTION_CASES))
-def test_intersection_prunes_both_operands(case, monkeypatch):
+def test_intersection_edge_cases(case):
     I, J = INTERSECTION_CASES[case]
-    reduced = []
-    reduce = ideals._reduce_to_antichain
-
-    def record(tuples):
-        reduced.append(set(tuples))
-        return reduce(reduced[-1])
-
-    monkeypatch.setattr(ideals, "_reduce_to_antichain", record)
     got = I & J
     assert list(got.gens) == _lcm_route(I, J)
-    # a pruned generator is a candidate and forms no lcm
-    assert reduced == [{g.exps for g in _pruned_candidates(I, J)}]
     if case == "other-inside-self":
-        assert got == J and reduced == [{g.exps for g in J.gens}]
+        assert got == J
     if case == "self-inside-other":
-        assert got == I and reduced == [{g.exps for g in I.gens}]
+        assert got == I
 
 
 def test_zero_and_unit():
