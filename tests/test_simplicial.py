@@ -44,6 +44,11 @@ from simplicial_ideals.simplicial import (
 ALL_SPECS_3 = [(n, c) for n in range(1, 4) for c in range(1, n + 1)]
 
 
+def _face_primes(n, c):
+    """The face primes of I(n, c): one per c-subset of the variables."""
+    return [FacePrime(n, s) for s in combinations(range(n + 1), c)]
+
+
 def M(text, n):
     return Monomial.parse(text, n)
 
@@ -88,6 +93,18 @@ def test_generator_count_and_shape(n, c):
     assert set(ideal.gens) == set(brute_skeleton_gens(n, c))
 
 
+@pytest.mark.parametrize("n,c", ALL_SPECS_3)
+def test_face_primes(n, c):
+    primes = _face_primes(n, c)
+    assert len(primes) == comb(n + 1, c)
+    assert len({p.variables for p in primes}) == len(primes)
+    for p in primes:
+        assert len(p.variables) == c
+        ideal = face_prime_ideal(p)
+        assert len(ideal.gens) == c
+        assert all(g.degree == 1 for g in ideal.gens)
+
+
 def test_face_prime_power():
     p = FacePrime(2, (0, 2))
     cube = p.power_ideal(3)
@@ -95,8 +112,8 @@ def test_face_prime_power():
     assert all(g.degree == 3 and g.exps[1] == 0 for g in cube.gens)
     assert cube == face_prime_ideal(p) ** 3
     # the exact canonical order: one degree, so descending lex
-    primes = [FacePrime(n, s) for n in range(1, 5) for c in range(1, n + 1)
-              for s in combinations(range(n + 1), c)]
+    primes = [prime for n in range(1, 5) for c in range(1, n + 1)
+              for prime in _face_primes(n, c)]
     # and so too when the variables are not named in ascending order
     primes += [FacePrime(3, (3, 0)), FacePrime(2, (2, 0, 1)),
                FacePrime(4, (4, 1, 3)), FacePrime(4, (2, 4, 0, 3))]
@@ -130,8 +147,7 @@ def test_face_prime_needs_two_variables():
 
 @pytest.mark.parametrize("n,c", ALL_SPECS_3)
 def test_skeleton_is_intersection_of_face_primes(n, c):
-    primes = [face_prime_ideal(FacePrime(n, s))
-              for s in combinations(range(n + 1), c)]
+    primes = [face_prime_ideal(p) for p in _face_primes(n, c)]
     assert intersect_all(primes) == simplicial_ideal(SimplicialSpec(n, c))
 
 
@@ -363,7 +379,7 @@ def test_generic_face_prime_intersection_matches_both_routes(n):
     for c in range(1, n + 1):
         spec = SimplicialSpec(n, c)
         for m in range(1, 6):
-            generic = intersect_all([FacePrime(n, s).power_ideal(m)
-                                     for s in combinations(range(n + 1), c)])
+            generic = intersect_all([p.power_ideal(m)
+                                     for p in _face_primes(n, c)])
             assert generic == symbolic_power_oracle(spec, m), (n, c, m)
             assert generic == symbolic_power(spec, m), (n, c, m)
