@@ -17,19 +17,20 @@ its symbolic powers are invariant under permuting the n+1 coordinates, so
 each of them names only the weakly decreasing minimal generators, the orbit
 representatives, and one enumerator, ``_orbits``, does the rest: it sums
 the orbit sizes before building a generator, raises BudgetExceededError
-past the ``max_candidates`` budget instead of starting an enumeration it
-cannot finish, and streams the permutations of the representatives in the
-canonical descending graded-lex order, holding the representatives and at
-most ``_BLOCK`` generators at a time.
-The ``*_stream`` functions return that (count, stream) pair, which
-``sideal gens`` writes out row by row; the builders wrap the same stream
-in a MonomialIdeal, and the containment oracles map one exponent-tuple
-membership test (``_ordinary_test``, ``_symbolic_test``) over it.
+("at least" N) once the sum passes the ``max_candidates`` budget instead of
+starting an enumeration it cannot finish, and streams the permutations of
+the representatives in the canonical descending graded-lex order, holding
+the representatives and at most ``_BLOCK`` generators at a time.
+The ``*_stream`` functions return that (count, stream) pair: ``sideal gens``
+writes it row by row, the builders wrap it in a MonomialIdeal, the oracles
+map one membership test (``_ordinary_test``, ``_symbolic_test``) over it,
+and the claims multiply on representatives (``_representative_product``).
 """
 
 from dataclasses import dataclass
 from itertools import chain, combinations, repeat
 from math import comb
+from operator import add
 
 from .errors import DimensionError, ParameterError, budget_error, budget_limit, require_int
 from .ideals import MonomialIdeal, _reduce_to_antichain
@@ -106,11 +107,10 @@ def simplicial_ideal_stream(spec, max_candidates=None):
     """(count, stream) of the minimal generators of I(n,c): all squarefree
     monomials of degree n+2-c in x_0..x_n.
 
-    I(n,c) = I(n,c)^1, so its one representative, (1,)*(n+2-c) +
-    (0,)*(c-1), is _ordinary_representatives(spec, 1), and _orbits counts
-    its binomial(n+1, n+2-c) permutations against ``max_candidates``.
+    I(n,c) = I(n,c)^1, so _orbits counts and streams its one
+    representative, _ordinary_representatives(spec, 1).
     """
-    return _orbits(_ordinary_representatives(spec, 1), max_candidates,
+    return _orbits(spec, _ordinary_representatives(spec, 1), max_candidates,
                    f"I({spec.n},{spec.c})")
 
 
@@ -212,13 +212,17 @@ def _descending_permutations(seq, fixed):
         seq[i + 1:] = seq[:i:-1]
 
 
-def _orbit_size(rep):
-    """Number of distinct permutations of ``rep``: len! / prod(mult!),
-    built as a product of binomials so that no len! is ever formed."""
+def _orbit_size(mults, limit):
+    """Number of distinct permutations, len! / prod(mult!), of a tuple whose
+    distinct entries occur ``mults`` times, one binomial factor at a time;
+    past ``limit``, the first partial product past it, a lower bound."""
     size, placed = 1, 0
-    for mult in map(rep.count, set(rep)):
+    for mult in mults:
         placed += mult
-        size *= comb(placed, mult)
+        for i in range(1, min(mult, placed - mult) + 1):
+            if size > limit:
+                return size
+            size = size * (placed - i + 1) // i
     return size
 
 
@@ -226,30 +230,32 @@ def _orbit_size(rep):
 _BLOCK = 1024
 
 
-def _orbits(reps, max_candidates, name):
-    """(count, stream) for the ideal ``name`` minimally generated by the
-    coordinate permutations of ``reps``, weakly decreasing int tuples of
-    one length whose orbits together form an antichain.
+def _orbits(spec, reps, max_candidates, name):
+    """(count, stream) for the ideal ``name`` of the ring of ``spec``,
+    minimally generated by the coordinate permutations of ``reps``, weakly
+    decreasing int tuples whose orbits together form an antichain.
 
     ``count`` is the number of generators, the sum of the orbit sizes.
-    BudgetExceededError is raised, before any generator is built, as soon
-    as the sum passes ``max_candidates`` (see budget_limit); its
-    count reads "at least" when representatives were left uncounted.
+    BudgetExceededError ("at least" the count so far, see _orbit_size) is
+    raised once it passes ``max_candidates`` (see budget_limit), or once the
+    first orbit does, binomial(n+1, c-1) permutations of the first
+    representative (v,)*(n-c+2) + (0,)*(c-1), before that is built.
     ``stream`` yields the generators' exponent tuples in descending
     graded-lex order, the degrees in descending order and, within one, the
     blocks of _orbit_blocks.  It holds the representatives and at most
     _BLOCK generators.
     """
     limit = budget_limit(max_candidates)
-    count = 0
+    count = _orbit_size((spec.n + 2 - spec.c, spec.c - 1), limit)
     by_degree = {}
-    reps = iter(reps)
-    for rep in reps:
-        count += _orbit_size(rep)
-        if count > limit:
-            bound = "" if next(reps, None) is None else "at least "
-            raise budget_error(f"{name} has {bound}{count} generators", limit)
+    for rep in reps if count <= limit else ():
+        if by_degree:  # the first orbit is counted above
+            count += _orbit_size(map(rep.count, set(rep)), limit - count)
+            if count > limit:
+                break
         by_degree.setdefault(sum(rep), []).append(rep)
+    if count > limit:
+        raise budget_error(f"{name} has at least {count} generators", limit)
     groups = map(by_degree.__getitem__, sorted(by_degree, reverse=True))
     return count, chain.from_iterable(_orbit_blocks(groups))
 
@@ -272,7 +278,8 @@ def _orbit_blocks(groups):
             fixed = len(prefix)
             if len(rests) == 1:
                 yield _descending_permutations(prefix + rests[0], fixed)
-            elif sum(map(_orbit_size, rests)) <= _BLOCK:
+            elif sum(_orbit_size(map(rest.count, set(rest)), _BLOCK)
+                     for rest in rests) <= _BLOCK:
                 block = [perm for rest in rests
                          for perm in _descending_permutations(prefix + rest,
                                                               fixed)]
@@ -315,7 +322,7 @@ def symbolic_power_stream(spec, m, max_candidates=None):
     _orbits counts their orbits against ``max_candidates`` and streams them.
     """
     require_int("m", m, 1)
-    return _orbits(_symbolic_representatives(spec, m), max_candidates,
+    return _orbits(spec, _symbolic_representatives(spec, m), max_candidates,
                    f"I^({m})({spec.n},{spec.c})")
 
 
@@ -334,6 +341,18 @@ def _symbolic_representatives(spec, m):
     a generator of I^(m) outside J."""
     head = spec.n - spec.c + 1
     return ((t[0],) * head + t for t in _partitions(m, spec.c, m))
+
+
+def _representative_product(reps, others):
+    """The orbit representatives of I*J, in descending graded-lex order,
+    from the lists ``reps`` and ``others`` of those of I and J, ideals
+    invariant under permuting coordinates.  Exact as, for weakly decreasing
+    u and v, some permutation of u divides v iff u <= v entrywise, and as
+    every generator of I*J, permuted so that its I-factor is a
+    representative r, is r + p, p a permutation of a tuple of ``others``."""
+    return _reduce_to_antichain(
+        tuple(sorted(map(add, r, p), reverse=True)) for s in others
+        for p in _descending_permutations(s, 0) for r in reps)
 
 
 def symbolic_power(spec, m, max_candidates=None):
@@ -392,7 +411,7 @@ def ordinary_power_stream(spec, r, max_candidates=None):
     _ordinary_representatives, are counted and streamed by _orbits.
     """
     require_int("r", r, 1)
-    return _orbits(_ordinary_representatives(spec, r), max_candidates,
+    return _orbits(spec, _ordinary_representatives(spec, r), max_candidates,
                    f"I({spec.n},{spec.c})^{r}")
 
 

@@ -21,7 +21,6 @@ import time
 from dataclasses import dataclass
 from functools import partial
 from itertools import permutations, product
-from operator import add
 
 from .containment import (
     containment_boundary,
@@ -37,6 +36,7 @@ from .simplicial import (
     SimplicialSpec,
     _ordinary_representatives,
     _ordinary_test,
+    _representative_product,
     _symbolic_representatives,
     _symbolic_test,
     simplicial_ideal,
@@ -349,39 +349,18 @@ def _run_multiple(top_n, top_r):
 
 @_claim("general/symbolic-power-multiplicative-inclusion",
         "(I^(a)(n,c))^b contained in I^(a*b)(n,c)",
-        "n <= {top_n}, a,b <= {top_ab}", top_n=(3, 4), top_ab=(3, 4))
+        "n <= {top_n}, a,b <= {top_ab}", top_n=(3, 6), top_ab=(3, 4))
 def _run_power_incl(top_n, top_ab):
-    """Tests each generator of (I^(a))^b up to a permutation.
-
-    Proof.  (I^(a))^b is generated by the products g*h, g a minimal
-    generator of I^(a) and h one of J = (I^(a))^(b-1) (h = 1 at b = 1).
-    Let sigma be a coordinate permutation that sorts g into weakly
-    decreasing order.  Then sigma(g) is an orbit representative r, since
-    symbolic_power is the union of the orbits of _symbolic_representatives
-    (the proof in symbolic_power_stream, checked against the face-prime
-    route by symbolic-routes-agree on a box that covers this one's n and
-    a).  J is invariant under permuting coordinates, so sigma(h) is again
-    a minimal generator of J, and sigma(g*h) = r*sigma(h).  The membership
-    test of I^(ab) is invariant under sigma.  So (I^(a))^b lies in I^(ab)
-    iff r*h passes for every representative r and every minimal generator
-    h of J, and a failing r*h is itself in (I^(a))^b, a true
-    counterexample.
-    """
+    # the representatives of (I^(a))^b under the test of I^(ab); exact by
+    # _representative_product and _symbolic_representatives
     for n, c in _specs_up_to(top_n):
         spec = SimplicialSpec(n, c)
         for a in range(1, top_ab + 1):
-            sym_a = symbolic_power(spec, a)
-            reps = list(_symbolic_representatives(spec, a))
-            # the minimal generators of (I^(a))^(b-1): 1, then one more
-            # factor per b, none past the last b
-            cofactors = [(0,) * (n + 1)]
+            reps = power = list(_symbolic_representatives(spec, a))
             for b in range(1, top_ab + 1):
                 if b > 1:
-                    power = sym_a if b == 2 else power * sym_a
-                    cofactors = power._exps
-                test = _symbolic_test(spec, a * b)
-                if not all(test(map(add, r, h))
-                           for h in cofactors for r in reps):
+                    power = _representative_product(power, reps)
+                if not all(map(_symbolic_test(spec, a * b), power)):
                     return {"n": n, "c": c, "a": a, "b": b}
     return None
 

@@ -450,12 +450,15 @@ def test_one_row_listings_at_huge_exponents(capsys):
 
 
 def test_budget_errors_exit_three(capsys):
-    # counted before anything is built, so each refusal is immediate
+    # counted before anything is built, so each refusal is immediate; the
+    # count stops at the first partial product past the budget, here
+    # binomial(31, 7) and binomial(41, 6) of the first orbit's
+    # binomial(31, 14) and binomial(41, 19)
     for argv, message in (
             (("gens", "--n", "30", "--c", "15", "--power", "5"),
-             "I(30,15)^5 has at least 265182525 generators"),
+             "I(30,15)^5 has at least 2629575 generators"),
             (("gens", "--n", "40", "--c", "20"),
-             "I(40,20) has 244662670200 generators"),
+             "I(40,20) has at least 4496388 generators"),
             (("resurgence", "--n", "2", "--c", "2", "--witnesses",
               "100000000"), "witness_count=100000000 lists")):
         start = time.perf_counter()
@@ -466,7 +469,7 @@ def test_budget_errors_exit_three(capsys):
     code, _, err = run_cli(capsys, "containment", "--n", "6", "--c", "2",
                            "--m", "3", "--r", "2", "--oracle",
                            "--max-candidates", "10")
-    assert code == 3 and "I^(3)(6,2) has 14 generators" in err
+    assert code == 3 and "I^(3)(6,2) has at least 14 generators" in err
     # a listing streams, but only after the count passed the budget check
     code, out, err = run_cli(capsys, "gens", "--n", "4", "--c", "2",
                              "--symbolic", "6", "--max-candidates", "5",
@@ -502,7 +505,7 @@ def test_orbit_count_of_a_long_representative_is_fast(capsys):
     code, out, err = run_cli(capsys, "gens", "--n", "999999", "--c", "999999",
                              "--symbolic", "1")
     assert code == 3 and out == ""
-    assert "has 499999500000 generators" in err
+    assert "has at least 499999500000 generators" in err
     assert time.perf_counter() - start < 10
 
 
@@ -618,6 +621,22 @@ def test_module_entry_point(capsys, monkeypatch):
     assert (proc.returncode, proc.stdout, proc.stderr) == _parse_exit(main, argv)
     assert proc.returncode == 2
     assert proc.stderr.startswith("usage: sideal [-h]")
+
+
+def test_listing_past_the_budget_builds_no_representative():
+    # I(10**9, 10**9) has about 5*10**17 generators; its one representative
+    # would hold 10**9 + 1 exponents, which do not fit a 2 GB address space
+    resource = pytest.importorskip("resource")
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "simplicial_ideals", "gens", "--n",
+         "1000000000", "--c", "1000000000"], capture_output=True, text=True,
+        env=module_env(), preexec_fn=limit_address_space, timeout=10)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("resource budget exceeded: ")
 
 
 def test_missing_subcommand_exits_two():

@@ -36,7 +36,10 @@ from simplicial_ideals import (
 )
 from simplicial_ideals import simplicial
 from simplicial_ideals.simplicial import (
+    _ordinary_representatives,
     _partitions,
+    _representative_product,
+    _symbolic_representatives,
     ordinary_member_detail,
     symbolic_member_detail,
 )
@@ -199,6 +202,28 @@ def test_symbolic_representatives_match_sorted_scan(n):
                 brute_symbolic_representatives(n, c, m)), (n, c, m)
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_representative_product_matches_ideal_product(n):
+    # I^(a) * I^(b) against `*`, and I^r * I against the closed form of
+    # I^(r+1)
+    for c in range(1, n + 1):
+        spec = SimplicialSpec(n, c)
+        symbolic = [list(_symbolic_representatives(spec, m))
+                    for m in range(1, 4)]
+        ordinary = [list(_ordinary_representatives(spec, r))
+                    for r in range(1, 5)]
+        for a in range(1, 4):
+            for b in range(1, 4):
+                product = symbolic_power(spec, a) * symbolic_power(spec, b)
+                expected = [g.exps for g in product.gens
+                            if list(g.exps) == sorted(g.exps, reverse=True)]
+                assert _representative_product(
+                    symbolic[a - 1], symbolic[b - 1]) == expected, (n, c, a, b)
+        for r in range(1, 4):
+            assert _representative_product(
+                ordinary[r - 1], ordinary[0]) == ordinary[r], (n, c, r)
+
+
 def test_symbolic_power_matches_brute_force_p4():
     got = symbolic_power(SimplicialSpec(4, 2), 2)
     assert set(got.gens) == set(brute_symbolic_gens(4, 2, 2))
@@ -317,6 +342,18 @@ def test_long_listings_need_no_recursion():
                   lambda: containment_oracle(1200, 1200, 2, 1)):
         with pytest.raises(BudgetExceededError):
             build()
+
+
+def test_listings_past_the_budget_raise_before_counting_far():
+    # binomial(100001, 49999) generators, a number of over 30000 digits:
+    # the count stops once it passes the budget
+    spec = SimplicialSpec(100000, 50000)
+    for build in (simplicial_ideal, lambda spec: symbolic_power(spec, 1),
+                  lambda spec: ordinary_power_min_gens(spec, 2)):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match=" has at least "):
+            build(spec)
+        assert time.perf_counter() - start < 1
 
 
 def test_budgets_raise_instead_of_truncating():

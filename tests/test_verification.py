@@ -145,14 +145,12 @@ BROKEN_CLAIMS = {
         "general/containment-criterion-exactness", verification,
         "_symbolic_representatives", lambda real: lambda spec, m: iter(()),
         {"n": 1, "c": 1, "m": 1, "r": 2, "fast": False, "oracle": True}),
-    # I^(1) built as the unit ideal: (I^(1))^2 then holds 1 * x0*x1, which
-    # is not in I^(2)(1,1)
+    # a product that ignores its second factor: (I^(1))^2 then stays
+    # I^(1)(1,1) = (x0*x1), which is not in I^(2)(1,1)
     "multiplicative-inclusion": (
         "general/symbolic-power-multiplicative-inclusion", verification,
-        "symbolic_power",
-        lambda real: lambda spec, m: (
-            MonomialIdeal.from_lists(spec.n, [[0] * (spec.n + 1)]) if m == 1
-            else real(spec, m)),
+        "_representative_product",
+        lambda real: lambda reps, others: reps,
         {"n": 1, "c": 1, "a": 1, "b": 2}),
     # a target test that nothing passes: I^(1)(1,1) is then outside
     # I^(1)(1,1), a cell the sufficient condition covers
@@ -324,6 +322,12 @@ def test_deep_routes_box_reaches_n_6():
     # the face-prime route checks every I^(m) with n <= 6, m <= 6 at deep
     assert _limits("general/symbolic-routes-agree")["top_n"][1] == 6
     assert _limits("general/symbolic-routes-agree")["top_m"][1] == 6
+
+
+def test_deep_multiplicative_inclusion_box_reaches_n_6():
+    limits = _limits("general/symbolic-power-multiplicative-inclusion")
+    assert limits["top_n"][1] == 6
+    assert limits["top_ab"][1] == 4
 
 
 def test_multiplicative_inclusion_full_route():
