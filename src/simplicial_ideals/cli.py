@@ -25,7 +25,6 @@ from .simplicial import (
     _check_spec,
     ordinary_member_detail,
     ordinary_power_stream,
-    simplicial_ideal_stream,
     symbolic_member_detail,
     symbolic_power_stream,
 )
@@ -53,15 +52,15 @@ def _cmd_gens(args, budget):
     spec = SimplicialSpec(args.n, args.c)
     # counted (and checked against the budget) before the first byte is
     # written; the rows are then written as the stream yields them
-    if args.power is not None:
-        count, stream = ordinary_power_stream(spec, args.power, budget)
-        kind, exponent = "power", args.power
-    elif args.symbolic is not None:
+    if args.symbolic is not None:
         count, stream = symbolic_power_stream(spec, args.symbolic, budget)
         kind, exponent = "symbolic", args.symbolic
     else:
-        count, stream = simplicial_ideal_stream(spec, budget)
-        kind, exponent = "ideal", None
+        # I(n,c) = I(n,c)^1; an explicit --power 0 still fails its check
+        r = 1 if args.power is None else args.power
+        count, stream = ordinary_power_stream(spec, r, budget)
+        kind = "ideal" if args.power is None else "power"
+        exponent = args.power
     out = sys.stdout
     if args.format != "json":
         out.writelines(exps_lines(stream, args.n + 1))

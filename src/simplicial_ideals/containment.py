@@ -131,8 +131,10 @@ def empirical_resurgence_sup(n, c, max_m, max_r):
     best_m = best_r = None
     for m in range(1, max_m + 1):
         r = _largest_contained_r(n, c, m) + 1
+        # r never falls as m grows (within one k it rises as p falls, and
+        # from m = kc to kc + 1 it rises by one), so no later m fits the box
         if r > max_r:
-            continue
+            break
         # m/r > best_m/best_r, both denominators positive
         if best_m is None or m * best_r > best_m * r:
             best_m, best_r = m, r

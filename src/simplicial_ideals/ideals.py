@@ -106,17 +106,6 @@ def _compact(*lists):
     return [[tuple(map(getitem, ranks, t)) for t in tuples] for tuples in lists]
 
 
-def _divisible(queries, divisors):
-    """For each tuple of the sequence ``queries``, lazily, whether some tuple
-    of ``divisors`` divides it (none does in the zero ideal).  A query entry
-    above every divisor's is clamped, so only a large one calls for ranks."""
-    if not divisors:
-        return repeat(False, len(queries))
-    if max(chain.from_iterable(divisors)) > _DENSE_TOP:
-        queries, divisors = _compact(queries, divisors)
-    return map(_DivisorIndex(divisors).has_divisor, queries)
-
-
 def _reduce_to_antichain(tuples):
     """The minimal exponent tuples of ``tuples`` under divisibility, as a
     list in descending graded-lex order.
@@ -252,7 +241,14 @@ class MonomialIdeal:
     def __le__(self, other):
         """Containment self <= other: every generator of self lies in other."""
         self._check_same_ring(other)
-        return all(_divisible(self._exps, other._exps))
+        queries, divisors = self._exps, other._exps
+        if not divisors:  # the zero ideal holds only the zero ideal
+            return not queries
+        # a query entry above every divisor's is clamped, so only a large
+        # divisor entry calls for ranks
+        if max(chain.from_iterable(divisors)) > _DENSE_TOP:
+            queries, divisors = _compact(queries, divisors)
+        return all(map(_DivisorIndex(divisors).has_divisor, queries))
 
     def __eq__(self, other):
         if not isinstance(other, MonomialIdeal):

@@ -21,10 +21,11 @@ the orbit sizes before building a generator, raises BudgetExceededError
 starting an enumeration it cannot finish, and streams the permutations of
 the representatives in the canonical descending graded-lex order, holding
 the representatives and at most ``_BLOCK`` generators at a time.
-The ``*_stream`` functions return that (count, stream) pair: ``sideal gens``
-writes it row by row, the builders wrap it in a MonomialIdeal, the oracles
-map one membership test (``_ordinary_test``, ``_symbolic_test``) over it,
-and the claims multiply on representatives (``_representative_product``).
+The two ``*_stream`` functions, symbolic and ordinary (at r = 1 for I(n,c)
+itself), return that (count, stream) pair: ``sideal gens`` writes it row by
+row, the builders wrap it in a MonomialIdeal, the oracles map one membership
+test (``_ordinary_test``, ``_symbolic_test``) over it, and the claims
+multiply on representatives (``_representative_product``).
 """
 
 from dataclasses import dataclass
@@ -103,20 +104,10 @@ def _lifts(gens, deficits, variables):
             yield tuple(exps)
 
 
-def simplicial_ideal_stream(spec, max_candidates=None):
-    """(count, stream) of the minimal generators of I(n,c): all squarefree
-    monomials of degree n+2-c in x_0..x_n.
-
-    I(n,c) = I(n,c)^1, so _orbits counts and streams its one
-    representative, _ordinary_representatives(spec, 1).
-    """
-    return _orbits(spec, _ordinary_representatives(spec, 1), max_candidates,
-                   f"I({spec.n},{spec.c})")
-
-
 def simplicial_ideal(spec, max_candidates=None):
-    """I(n,c), built from simplicial_ideal_stream."""
-    _, stream = simplicial_ideal_stream(spec, max_candidates)
+    """I(n,c): all squarefree monomials of degree n+2-c in x_0..x_n, built
+    from ordinary_power_stream, as I(n,c) = I(n,c)^1."""
+    _, stream = ordinary_power_stream(spec, 1, max_candidates)
     return MonomialIdeal._from_canonical(spec.n, stream)
 
 
@@ -379,17 +370,20 @@ def symbolic_power_oracle(spec, m, max_candidates=None):
 
     The binomial(n+1, c) * binomial(m+c-1, c-1) generators of the
     face-prime powers, which bound the steps, are counted against
-    ``max_candidates`` (see budget_limit) before anything is built, and
-    each step's candidates, the sum over g of binomial(max(m - s_g, 0) +
-    c - 1, c - 1), before that step.
+    ``max_candidates`` (see budget_limit) before anything is built, each
+    factor by _orbit_size ("at least" once past the budget), and each
+    step's candidates, the sum over g of binomial(max(m - s_g, 0) + c - 1,
+    c - 1), before that step; each term of that sum is at most the second
+    factor, which the first count bounds.
     """
     require_int("m", m, 1)
     n, c = spec.n, spec.c
     limit = budget_limit(max_candidates)
-    count = comb(n + 1, c) * comb(m + c - 1, c - 1)
+    # each factor is exact whenever the product is within the budget
+    count = _orbit_size((c, n + 1 - c), limit) * _orbit_size((m, c - 1), limit)
     if count > limit:
         raise budget_error(f"the face-prime powers of I^({m})({n},{c}) have "
-                           f"{count} generators", limit)
+                           f"at least {count} generators", limit)
     gens = [(0,) * (n + 1)]
     for subset in combinations(range(n + 1), c):
         deficits = [m - sum(map(g.__getitem__, subset)) for g in gens]
@@ -408,11 +402,13 @@ def ordinary_power_stream(spec, r, max_candidates=None):
     They are exactly the exponent vectors of total degree (n-c+2)*r with
     every entry <= r; equal total degree makes the set an antichain, so no
     reduction step is needed.  Their representatives, listed by
-    _ordinary_representatives, are counted and streamed by _orbits.
+    _ordinary_representatives, are counted and streamed by _orbits.  At
+    r = 1 this lists I(n,c) itself, and budget messages name it so.
     """
     require_int("r", r, 1)
+    name = f"I({spec.n},{spec.c})" + ("" if r == 1 else f"^{r}")
     return _orbits(spec, _ordinary_representatives(spec, r), max_candidates,
-                   f"I({spec.n},{spec.c})^{r}")
+                   name)
 
 
 def _ordinary_representatives(spec, r):

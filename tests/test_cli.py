@@ -66,6 +66,20 @@ def test_gens_default_and_power(capsys):
     assert out == "x0^3*x1^3*x2^3\n"
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_gens_ideal_is_its_first_power(n):
+    """I(n,c) = I(n,c)^1: the flagless listing and --power 1 print the same
+    rows, and their JSON differs only in kind and exponent."""
+    for c in range(1, n + 1):
+        argv = ["gens", "--n", str(n), "--c", str(c)]
+        assert run_quiet(*argv) == run_quiet(*argv, "--power", "1")
+        ideal = run_json(*argv, "--format", "json")
+        power = run_json(*argv, "--power", "1", "--format", "json")
+        assert (ideal.pop("kind"), ideal.pop("exponent")) == ("ideal", None)
+        assert (power.pop("kind"), power.pop("exponent")) == ("power", 1)
+        assert ideal == power
+
+
 def test_gens_json_round_trips(capsys):
     code, out, _ = run_cli(capsys, "gens", "--n", "2", "--c", "2",
                            "--symbolic", "3", "--format", "json")
@@ -432,6 +446,10 @@ def test_usage_errors_exit_two(capsys):
     code, _, err = run_cli(capsys, "gens", "--n", "2", "--c", "2",
                            "--symbolic", "0")
     assert code == 2
+    # an explicit --power 0 is refused, not read as the flagless listing
+    code, out, err = run_cli(capsys, "gens", "--n", "3", "--c", "2",
+                             "--power", "0")
+    assert (code, out) == (2, "") and "r=0 must be >= 1" in err
     # the error names the box, not a parameter the user never passed
     code, _, err = run_cli(capsys, "resurgence", "--n", "2", "--c", "2",
                            "--box", "0", "5")

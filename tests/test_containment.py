@@ -17,6 +17,7 @@ from simplicial_ideals import (
 from simplicial_ideals.cli import main
 from simplicial_ideals.simplicial import symbolic_power_stream
 from simplicial_ideals.containment import (
+    _largest_contained_r,
     containment_boundary,
     containment_criterion,
     containment_oracle,
@@ -152,6 +153,19 @@ def test_empirical_sup_matches_grid_scan():
                         brute_resurgence_sup(n, c, max_m, max_r,
                                              containment_oracle), \
                         (n, c, max_m, max_r)
+
+
+def test_empirical_sup_stops_past_max_r():
+    # the least noncontained r never falls as m grows, so the sweep stops at
+    # the first m whose r passes max_r instead of walking the rest of the box
+    for max_m in (10**7, 10**12):
+        start = time.perf_counter()
+        assert empirical_resurgence_sup(2, 2, max_m, 1) == (None, None)
+        assert time.perf_counter() - start < 1
+    for n in range(1, 7):
+        for c in range(1, n + 1):
+            r = [_largest_contained_r(n, c, m) for m in range(1, 200)]
+            assert r == sorted(r), (n, c)
 
 
 def test_empirical_sup_below_rho():

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from itertools import combinations
 from math import comb
@@ -35,6 +36,7 @@ from simplicial_ideals import (
     symbolic_power_oracle,
 )
 from simplicial_ideals import simplicial
+from simplicial_ideals.errors import budget_limit
 from simplicial_ideals.simplicial import (
     _ordinary_representatives,
     _partitions,
@@ -366,19 +368,29 @@ def test_budgets_raise_instead_of_truncating():
 
 
 def test_oracle_counts_face_prime_powers_before_building():
-    # binomial(31, 15) face primes, each power with binomial(16, 14) gens
+    # binomial(31, 15) face primes, each power with binomial(16, 14) gens,
+    # 36064823400 in all; each factor's count stops once past the budget
     for budget in (100, None):
         start = time.perf_counter()
-        with pytest.raises(BudgetExceededError,
-                           match=r"I\^\(2\)\(30,15\) have 36064823400 "):
+        with pytest.raises(BudgetExceededError) as info:
             symbolic_power_oracle(SimplicialSpec(30, 15), 2,
                                   max_candidates=budget)
         assert time.perf_counter() - start < 1
+        count = int(re.search(r"I\^\(2\)\(30,15\) have at least (\d+) "
+                              "generators", str(info.value))[1])
+        assert budget_limit(budget) < count <= 36064823400
+    # the exact count would pass the 4300 digits Python formats into a
+    # message; the cut-short one is formed and refused at once
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError,
+                       match=r"I\^\(1\)\(100000,50000\) have at least "):
+        symbolic_power_oracle(SimplicialSpec(100000, 50000), 1)
+    assert time.perf_counter() - start < 1
     # c = 1: five principal primes, one generator each, and one-pair folds
     spec = SimplicialSpec(4, 1)
     assert (symbolic_power_oracle(spec, 3, max_candidates=5)
             == symbolic_power(spec, 3))
-    with pytest.raises(BudgetExceededError, match="have 5 generators"):
+    with pytest.raises(BudgetExceededError, match="have at least 5 generators"):
         symbolic_power_oracle(spec, 3, max_candidates=4)
 
 
