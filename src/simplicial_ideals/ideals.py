@@ -16,7 +16,9 @@ for them.
 
 Every batch of divisibility tests -- reduction to the antichain and
 containment ``<=`` -- goes through one structure, ``_DivisorIndex``;
-``contains``, a single query, scans the generators.
+``contains``, a single query, scans the generators.  The face-prime
+oracle of ``simplicial`` ANDs the rows of ``_le_masks`` itself, as its
+test lowers one entry of a query at a time.
 Tuple k of an index owns bit k.  For each coordinate i and each value v up
 to ``top``, the largest indexed entry, the index keeps the int whose set
 bits are the tuples with entry i <= v.  A vector a has a divisor in the

@@ -8,7 +8,9 @@ of degree n+2-c.  This module builds them and computes
 * symbolic powers, by two independent routes: the exponent criterion
   (every c-subset of coordinates sums to at least m) and the intersection
   of the m-th powers of the codimension-c coordinate primes, taken one
-  prime at a time by lifting each generator into the next prime's power;
+  prime at a time by lifting each generator into the next prime's power
+  and deciding each lift's minimality on its own, by a one-step test
+  against the running generators, with no reduction of the candidates;
 * ordinary powers, by the closed form for their minimal generators
   (total degree exactly (n-c+2)r with every exponent <= r).
 
@@ -28,13 +30,14 @@ test (``_ordinary_test``, ``_symbolic_test``) over it, and the claims
 multiply on representatives (``_representative_product``).
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat
+from itertools import accumulate, chain, combinations, repeat
 from math import comb
-from operator import add
+from operator import add, or_
 
 from .errors import DimensionError, ParameterError, budget_error, budget_limit, require_int
-from .ideals import MonomialIdeal, _reduce_to_antichain
+from .ideals import _DENSE_TOP, MonomialIdeal, _le_masks, _reduce_to_antichain
 
 
 @dataclass(frozen=True)
@@ -79,29 +82,27 @@ class FacePrime:
     def power_ideal(self, m):
         """m-th power: generated by all degree-m monomials in the c variables."""
         require_int("m", m, 1)
-        # the lifts of the unit monomial: one degree, so an antichain
-        lifts = _lifts([(0,) * (self.n + 1)], [m], self.variables)
-        return MonomialIdeal._from_canonical(self.n, sorted(lifts, reverse=True))
+        gens = []
+        for b in _compositions(m, len(self.variables)):
+            exps = [0] * (self.n + 1)
+            for var, e in zip(self.variables, b):
+                exps[var] = e
+            gens.append(tuple(exps))
+        # one degree, so an antichain, and lex order is canonical
+        return MonomialIdeal._from_canonical(self.n, sorted(gens, reverse=True))
 
 
-def _lifts(gens, deficits, variables):
-    """The candidates of one step of symbolic_power_oracle: each exponent
-    tuple g of ``gens`` itself if its deficit k, the matching entry of
-    ``deficits``, is at most 0, and otherwise g + b for each composition b
-    of k over ``variables``."""
-    c = len(variables)
-    for g, k in zip(gens, deficits):
-        if k <= 0:
-            yield g
-            continue
-        # compositions of k into c parts, via bar positions, placed over
-        # the variables
-        for bars in combinations(range(k + c - 1), c - 1):
-            exps = list(g)
-            for var, low, high in zip(variables, (-1,) + bars,
-                                      bars + (k + c - 1,)):
-                exps[var] += high - low - 1
-            yield tuple(exps)
+def _compositions(k, c):
+    """The compositions of k >= 1 into c parts, as c-tuples: the c - 1 bars
+    of each choice from range(k + c - 1) cut it into the parts.  The one
+    composition into one part, (k,), is formed directly: combinations
+    stores its whole input even when it picks nothing, k entries here."""
+    if c == 1:
+        return [(k,)]
+    end = (k + c - 1,)
+    return [tuple(high - low - 1
+                  for low, high in zip((-1,) + bars, bars + end))
+            for bars in combinations(range(k + c - 1), c - 1)]
 
 
 def simplicial_ideal(spec, max_candidates=None):
@@ -359,14 +360,27 @@ def symbolic_power_oracle(spec, m, max_candidates=None):
     Independent of symbolic_power; the two must agree.
 
     From the unit ideal, each c-subset S in lexicographic order turns the
-    minimal generators of the running ideal J into those of J meet P_S^m,
-    building no P_S^m and no lcm: a generator g whose entries over S sum
-    to s_g >= m is kept, any other gives way to its lifts g + b, b a
-    composition of m - s_g over S (_lifts), and _reduce_to_antichain keeps
-    the minimal candidates.  Exact, as J meet P_S^m = sum over g of
-    g * P_S^max(m - s_g, 0): x^(g+e) lies in P_S^m iff e sums to at least
-    m - s_g over S.  A kept g is minimal: whatever in J meet P_S^m divides
-    g lies in J, whose minimal generators form an antichain.
+    minimal generators G of the running ideal J into those of J meet P_S^m
+    (_face_prime_step), building no P_S^m and no lcm.  A generator g whose
+    entries over S sum to s_g >= m is kept; any other gives way to its
+    lifts g + b, b a composition of m - s_g over S (_compositions).  Exact,
+    as J meet P_S^m = sum over g of g * P_S^max(m - s_g, 0): x^(g+e) lies
+    in P_S^m iff e sums to at least m - s_g over S.  A kept g is minimal:
+    whatever in J meet P_S^m divides g lies in J, whose minimal generators
+    form an antichain.  Each lift is kept or dropped on its own:
+
+    Lemma.  A lift a = g + b is a minimal generator of J meet P_S^m iff no
+    h in G has h <= a - e_j for some j outside S with g_j > 0.
+
+    Proof.  x^a is minimal iff no x^(a - e_j) with a_j > 0 lies in the
+    ideal.  The entries of a over S sum to exactly m, so lowering one of
+    them leaves P_S^m.  Lowering a_j = g_j for j outside S stays in P_S^m,
+    so x^(a - e_j) lies in the ideal iff it lies in J, that is iff some h
+    in G divides it.
+
+    So no step reduces its candidates: the lifts are deduplicated (two g
+    may share one) and the generators are sorted once, at the end.  A lift
+    g + b never equals a kept g': then g < g', against G an antichain.
 
     The binomial(n+1, c) * binomial(m+c-1, c-1) generators of the
     face-prime powers, which bound the steps, are counted against
@@ -385,6 +399,7 @@ def symbolic_power_oracle(spec, m, max_candidates=None):
         raise budget_error(f"the face-prime powers of I^({m})({n},{c}) have "
                            f"at least {count} generators", limit)
     gens = [(0,) * (n + 1)]
+    compositions = {}
     for subset in combinations(range(n + 1), c):
         deficits = [m - sum(map(g.__getitem__, subset)) for g in gens]
         count = sum(comb(max(k, 0) + c - 1, c - 1) for k in deficits)
@@ -392,8 +407,85 @@ def symbolic_power_oracle(spec, m, max_candidates=None):
             raise budget_error(f"the face-prime step {subset} of "
                                f"I^({m})({n},{c}) forms {count} candidates",
                                limit)
-        gens = _reduce_to_antichain(_lifts(gens, deficits, subset))
+        gens = _face_prime_step(gens, deficits, subset, compositions)
+    # descending graded-lex: lex first, then a stable sort by degree
+    gens.sort(reverse=True)
+    gens.sort(key=sum, reverse=True)
     return MonomialIdeal._from_canonical(n, gens)
+
+
+class _SparseLeMasks:
+    """One coordinate's row of _le_masks for entries past _DENSE_TOP: the
+    int whose bit k is set iff entry k of ``column`` is <= v, for any v >= 0,
+    found by bisection among the column's distinct entries, so it holds one
+    int per distinct entry, however large the entries are."""
+
+    __slots__ = ("values", "masks")
+
+    def __init__(self, column):
+        exact = {}
+        for k, e in enumerate(column):
+            exact[e] = exact.get(e, 0) | 1 << k
+        self.values = sorted(exact)
+        self.masks = [0, *accumulate(map(exact.__getitem__, self.values), or_)]
+
+    def __getitem__(self, v):
+        return self.masks[bisect_right(self.values, v)]
+
+
+def _face_prime_step(gens, deficits, subset, compositions):
+    """The minimal generators of J meet P_S^m, in no particular order, from
+    the list ``gens`` of those of J, the deficit m - s_g of each, and the
+    c-subset S, ``subset``; see symbolic_power_oracle for the lemma.
+    ``compositions`` maps each deficit to its _compositions and is filled
+    on demand, so a call forms each deficit's compositions once.
+
+    Tuple k of ``gens`` owns bit k of one _le_masks index.  For each lifted
+    g, the witness mask holds the h of G with h <= g outside S and h_j < g_j
+    for some j outside S, which is the lemma's test with the entries over
+    S left out: h <= a - e_j needs h <= g off S, and h_j <= g_j - 1 at j.
+    A lift a = g + b is then kept iff the witness mask, ANDed with the rows
+    of S at a's entries, is empty: c ANDs per lift, none when no h
+    qualifies.  Each row of the index keeps one mask per value up to
+    ``top``, which bounds every entry of G and of the lifts; past
+    _DENSE_TOP, each row is a _SparseLeMasks instead.
+    """
+    c = len(subset)
+    top = max(chain.from_iterable(gens)) + max(0, *deficits)
+    rows = (_le_masks(gens, top) if top <= _DENSE_TOP
+            else list(map(_SparseLeMasks, zip(*gens))))
+    inner = [rows[i] for i in subset]
+    outer = [(rows[j], j) for j in range(len(rows)) if j not in subset]
+    kept, lifts = [], set()
+    for g, k in zip(gens, deficits):
+        if k <= 0:
+            kept.append(g)
+            continue
+        # below: h <= g off S; lower: h_j < g_j for some j off S
+        below, lower = -1, 0
+        for row, j in outer:
+            e = g[j]
+            below &= row[e]
+            if e:
+                lower |= row[e - 1]
+        witness = below & lower
+        base = [g[i] for i in subset]
+        parts = compositions.get(k)
+        if parts is None:
+            parts = compositions[k] = _compositions(k, c)
+        for b in parts:
+            if witness:
+                test = witness
+                for row, e, x in zip(inner, base, b):
+                    test &= row[e + x]
+                if test:
+                    continue
+            a = list(g)
+            for i, x in zip(subset, b):
+                a[i] += x
+            lifts.add(tuple(a))
+    kept += lifts
+    return kept
 
 
 def ordinary_power_stream(spec, r, max_candidates=None):

@@ -296,7 +296,7 @@ def _run_exactness(top_n, top_mr):
 
 @_claim("general/symbolic-routes-agree",
         "criterion-based symbolic power equals the face-prime intersection",
-        "n <= {top_n}, m <= {top_m}", top_n=(4, 6), top_m=(5, 6))
+        "n <= {top_n}, m <= {top_m}", top_n=(4, 7), top_m=(5, 6))
 def _run_routes(top_n, top_m):
     for n, c in _specs_up_to(top_n):
         spec = SimplicialSpec(n, c)

@@ -657,6 +657,36 @@ def test_listing_past_the_budget_builds_no_representative():
     assert proc.stderr.startswith("resource budget exceeded: ")
 
 
+def test_principal_face_primes_answer_for_a_huge_exponent():
+    # c = 1: each face-prime power has one generator and each oracle step
+    # one candidate, so m = 10**9 answers at once, in a 1 GB address space
+    # that a tuple of m entries would not fit
+    resource = pytest.importorskip("resource")
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
+
+    script = """if True:
+        import json, sys, time
+        from simplicial_ideals import FacePrime, SimplicialSpec
+        from simplicial_ideals import symbolic_power_oracle
+        answers = []
+        for call in (lambda: symbolic_power_oracle(SimplicialSpec(3, 1), 10**9),
+                     lambda: FacePrime(3, (1,)).power_ideal(10**9)):
+            start = time.perf_counter()
+            lists = call().to_lists()
+            answers.append([lists, time.perf_counter() - start])
+        print(json.dumps(answers))
+    """
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=module_env(),
+                          preexec_fn=limit_address_space, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    (oracle, oracle_s), (power, power_s) = json.loads(proc.stdout)
+    assert oracle == [[10**9] * 4] and power == [[0, 10**9, 0, 0]]
+    assert oracle_s < 1 and power_s < 1
+
+
 def test_missing_subcommand_exits_two():
     proc = run_module()
     assert proc.returncode == 2

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _brute import (
+    _minimalize,
     _sorted_vectors,
     brute_face_prime_power,
     brute_ordinary_member,
@@ -38,6 +39,7 @@ from simplicial_ideals import (
 from simplicial_ideals import simplicial
 from simplicial_ideals.errors import budget_limit
 from simplicial_ideals.simplicial import (
+    _face_prime_step,
     _ordinary_representatives,
     _partitions,
     _representative_product,
@@ -399,15 +401,18 @@ def test_oracle_counts_each_step_before_lifting(monkeypatch):
     # a budget of 20, but the step at (0, 2) lifts the 6 generators of
     # P_(0,1)^5 into 21 candidates; it raises before building any of them
     spec = SimplicialSpec(2, 2)
-    real = simplicial._reduce_to_antichain
+    real = simplicial._face_prime_step
     built = []
 
-    def record(tuples):
-        tuples = list(tuples)
-        built.append(len(tuples))
-        return real(tuples)
+    def record(gens, deficits, subset, compositions):
+        # the candidates the step formed: each kept generator, and each
+        # lifted one's compositions, which the step leaves in the memo
+        result = real(gens, deficits, subset, compositions)
+        built.append(sum(len(compositions[k]) if k > 0 else 1
+                         for k in deficits))
+        return result
 
-    monkeypatch.setattr(simplicial, "_reduce_to_antichain", record)
+    monkeypatch.setattr(simplicial, "_face_prime_step", record)
     with pytest.raises(BudgetExceededError,
                        match=r"^the face-prime step \(0, 2\) of "
                              r"I\^\(5\)\(2,2\) forms 21 candidates, "
@@ -418,6 +423,35 @@ def test_oracle_counts_each_step_before_lifting(monkeypatch):
     assert (symbolic_power_oracle(spec, 5, max_candidates=21)
             == symbolic_power(spec, 5))
     assert max(built) <= 21 and len(built) == 3
+
+
+@given(st.integers(1, 4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_face_prime_step_keeps_exactly_the_minimal_lifts(n, data):
+    # one step of the oracle on any antichain J, not only on the symmetric
+    # ones the oracle meets: its output is the minimal lcms of J's
+    # generators with those of P_S^m, for every c-subset S and m <= 4
+    vectors = data.draw(st.lists(
+        st.tuples(*[st.integers(0, 5)] * (n + 1)), min_size=1, max_size=8))
+    gens = [g.exps for g in _minimalize(map(Monomial, vectors))]
+    for c in range(1, n + 1):
+        for subset in combinations(range(n + 1), c):
+            for m in range(1, 5):
+                deficits = [m - sum(g[i] for i in subset) for g in gens]
+                got = _face_prime_step(gens, deficits, subset, {})
+                power = brute_face_prime_power(FacePrime(n, subset), m)
+                lcms = {Monomial(tuple(map(max, g, p)))
+                        for g in gens for p in power}
+                expected = {x.exps for x in _minimalize(lcms)}
+                assert len(got) == len(expected), (gens, subset, m)
+                assert set(got) == expected, (gens, subset, m)
+
+
+def test_oracle_past_the_dense_top():
+    # entries pass _DENSE_TOP, so each step bisects sparse rows
+    # (_SparseLeMasks) in place of a value axis per coordinate
+    spec = SimplicialSpec(2, 2)
+    assert symbolic_power_oracle(spec, 300) == symbolic_power(spec, 300)
 
 
 @pytest.mark.parametrize("n", range(1, 5))

@@ -318,9 +318,9 @@ def test_deep_resurgence_boxes_reach_n_12(claim_id):
     assert _limits(claim_id)["top_n"][1] == 12
 
 
-def test_deep_routes_box_reaches_n_6():
-    # the face-prime route checks every I^(m) with n <= 6, m <= 6 at deep
-    assert _limits("general/symbolic-routes-agree")["top_n"][1] == 6
+def test_deep_routes_box_reaches_n_7():
+    # the face-prime route checks every I^(m) with n <= 7, m <= 6 at deep
+    assert _limits("general/symbolic-routes-agree")["top_n"][1] == 7
     assert _limits("general/symbolic-routes-agree")["top_m"][1] == 6
 
 
