@@ -115,26 +115,31 @@ def _witness(n, c, k):
     return k * c, (n + 1) * k // (n - c + 2) + 1
 
 
-def empirical_resurgence_sup(n, c, max_m, max_r):
+def empirical_resurgence_sup(n, c, max_m, max_r, max_candidates=None):
     """Largest m/r with noncontainment over the box 1..max_m x 1..max_r.
 
     Returns (sup, (m, r)) as an exact Fraction with the first pair attaining
     it (scanning m then r ascending), or (None, None) if every pair in the
     box is a containment.  For fixed m the noncontained r are exactly those
     above _largest_contained_r, so only the least of them can attain the
-    sup, and one pass over m suffices.  The pass compares pairs by
-    cross-multiplying and builds no Fraction per m, only the one returned.
+    sup, and one pass over m suffices.  Containment at fixed r is monotone
+    in m, so the m with a noncontained r <= max_r are exactly those below
+    _least_containing_m(max_r); the pass walks just these, and counts them
+    against ``max_candidates`` (see budget_limit) before it starts.  It
+    compares pairs by cross-multiplying and builds no Fraction per m, only
+    the one returned.
     """
     _check_spec(n, c)
     require_int("max_m", max_m, 1)
     require_int("max_r", max_r, 1)
+    limit = budget_limit(max_candidates)
+    last = min(max_m, _least_containing_m(n, c, max_r) - 1)
+    if last > limit:
+        raise budget_error(f"the box sweep for max_m={max_m}, max_r={max_r} "
+                           f"passes {last} values of m", limit)
     best_m = best_r = None
-    for m in range(1, max_m + 1):
+    for m in range(1, last + 1):
         r = _largest_contained_r(n, c, m) + 1
-        # r never falls as m grows (within one k it rises as p falls, and
-        # from m = kc to kc + 1 it rises by one), so no later m fits the box
-        if r > max_r:
-            break
         # m/r > best_m/best_r, both denominators positive
         if best_m is None or m * best_r > best_m * r:
             best_m, best_r = m, r
@@ -192,10 +197,11 @@ class ResurgenceReport:
 def resurgence_report(n, c, witness_count=0, box=None, max_candidates=None):
     """Exact resurgence of I(n,c), the witness pairs for k = 1..witness_count
     and, given box = (M, R), the empirical sup over that box.  The box sweep
-    is one pass over M values of m and each witness is one pair; both counts
-    are checked against ``max_candidates`` (see budget_limit) before
-    anything is computed.  The messages name these parameters: the box is
-    checked first, as ``box M`` and ``box R``, then witness_count.
+    is one pass over at most M values of m and each witness is one pair;
+    both counts are checked against ``max_candidates`` (see budget_limit)
+    before anything is computed, and the budget is passed on to the sweep.
+    The messages name these parameters: the box is checked first, as
+    ``box M`` and ``box R``, then witness_count.
     """
     limit = budget_limit(max_candidates)
     if box is not None:
@@ -217,7 +223,8 @@ def resurgence_report(n, c, witness_count=0, box=None, max_candidates=None):
         witnesses.append((k, m, r, Fraction(m, r)))
     sup = argmax = None
     if box is not None:
-        sup, argmax = empirical_resurgence_sup(n, c, *box)
+        sup, argmax = empirical_resurgence_sup(n, c, *box,
+                                               max_candidates=max_candidates)
     return ResurgenceReport(n=n, c=c, rho=rho, witnesses=witnesses,
                             box=None if box is None else tuple(box),
                             empirical_sup=sup, empirical_argmax=argmax)

@@ -32,7 +32,7 @@ multiply on representatives (``_representative_product``).
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations, repeat
+from itertools import accumulate, chain, combinations
 from math import comb
 from operator import add, or_
 
@@ -519,13 +519,37 @@ def ordinary_power_min_gens(spec, r, max_candidates=None):
     return MonomialIdeal._from_canonical(spec.n, stream)
 
 
+class _Capped(dict):
+    """min(e, r) by entry value e, each value computed the first time it is
+    looked up; one per query (see _ordinary_test)."""
+
+    __slots__ = ("r",)
+
+    def __init__(self, r):
+        super().__init__()
+        self.r = r
+
+    def __missing__(self, e):
+        value = self[e] = min(e, self.r)
+        return value
+
+
 def _ordinary_test(spec, r):
     """The exponent-tuple test for I(n,c)^r, built once per query: the
     entries capped at r sum to >= (n-c+2)*r.  The oracle maps it over a
     generator stream, and the claims over the representatives of a
-    symbolic or ordinary power; callers check r and the tuples' length."""
+    symbolic or ordinary power; callers check r and the tuples' length.
+
+    Each capped entry is read from a _Capped memo that belongs to this one
+    test.  Calling the builtin min per entry cost about three times a dict
+    lookup, and the entries of one query take few distinct values (those
+    of I^(m)'s generators are at most m), so the memo answers nearly every
+    entry by lookup.  It holds only the values seen, one key each, so a
+    10**9 entry or r = 10**9 costs one key, not a table up to its size.
+    """
     required = (spec.n - spec.c + 2) * r
-    return lambda exps: sum(map(min, exps, repeat(r))) >= required
+    capped = _Capped(r).__getitem__
+    return lambda exps: sum(map(capped, exps)) >= required
 
 
 def ordinary_member(spec, r, a):
@@ -543,4 +567,5 @@ def ordinary_member_detail(spec, r, a):
     """ordinary_member with its binding constraint: (member, capped_degree,
     required), capped_degree = sum_i min(a_i, r), required = (n-c+2)*r."""
     member = ordinary_member(spec, r, a)
-    return member, sum(map(min, a.exps, repeat(r))), (spec.n - spec.c + 2) * r
+    capped = sum(map(_Capped(r).__getitem__, a.exps))
+    return member, capped, (spec.n - spec.c + 2) * r

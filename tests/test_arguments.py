@@ -140,6 +140,8 @@ BUDGETED = {
             2, 2, 2, use_oracle=True, max_candidates=b),
     "containment_boundary":
         lambda b: si.containment_boundary(2, 2, 1, max_candidates=b),
+    "empirical_resurgence_sup":
+        lambda b: si.empirical_resurgence_sup(2, 2, 5, 5, max_candidates=b),
     "resurgence_report":
         lambda b: si.resurgence_report(2, 2, witness_count=1,
                                        max_candidates=b),

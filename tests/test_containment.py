@@ -168,6 +168,31 @@ def test_empirical_sup_stops_past_max_r():
             assert r == sorted(r), (n, c)
 
 
+def test_empirical_sup_counts_its_sweep_first():
+    # the m with a noncontained r <= max_r are exactly those below the least
+    # m containing at max_r, and they are counted before the sweep starts
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError,
+                       match=r"passes 1000000000000 values of m, "
+                             r"more than max_candidates=2000000$"):
+        empirical_resurgence_sup(2, 2, 10**12, 10**12)
+    assert empirical_resurgence_sup(2, 2, 10**12, 1) == (None, None)
+    assert time.perf_counter() - start < 1
+    # a budget of exactly that many m fits, one fewer does not
+    for n in range(1, 7):
+        for c in range(1, n + 1):
+            for max_m, max_r in ((3, 2), (8, 5), (30, 4), (40, 40)):
+                swept = sum(not containment_criterion(n, c, m, max_r)
+                            for m in range(1, max_m + 1))
+                expected = empirical_resurgence_sup(n, c, max_m, max_r)
+                assert empirical_resurgence_sup(
+                    n, c, max_m, max_r, max_candidates=swept) == expected
+                if swept:
+                    with pytest.raises(BudgetExceededError):
+                        empirical_resurgence_sup(n, c, max_m, max_r,
+                                                 max_candidates=swept - 1)
+
+
 def test_empirical_sup_below_rho():
     for n in range(1, 5):
         for c in range(1, n + 1):

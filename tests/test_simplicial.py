@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from _brute import (
     _minimalize,
     _sorted_vectors,
+    brute_capped_degree,
     brute_face_prime_power,
     brute_ordinary_member,
     brute_power_gens,
@@ -41,6 +42,7 @@ from simplicial_ideals.errors import budget_limit
 from simplicial_ideals.simplicial import (
     _face_prime_step,
     _ordinary_representatives,
+    _ordinary_test,
     _partitions,
     _representative_product,
     _symbolic_representatives,
@@ -287,6 +289,43 @@ def test_ordinary_member_matches_divisibility():
                                  for _ in range(n + 1)])
                 assert ordinary_member(spec, r, mono) == \
                     brute_ordinary_member(n, c, r, mono, gens)
+
+
+def test_ordinary_test_reuses_its_memo():
+    # the oracle and the claims build one test per (spec, r) and map it over
+    # many tuples, so later tuples read the capped values earlier ones
+    # stored; the tests for r = 1, 2, 3 are used in turn on every tuple, so
+    # no memo may leak into another r's test
+    rng = random.Random(407)
+    big = 10**9
+    for n, c in ALL_SPECS_3:
+        spec = SimplicialSpec(n, c)
+        tests = {r: (_ordinary_test(spec, r), brute_power_gens(n, c, r))
+                 for r in (1, 2, 3)}
+        batch = []
+        for _ in range(240):
+            top = 3 * rng.choice((1, 2, 3))
+            batch.append([rng.randrange(0, top + 1) for _ in range(n + 1)])
+        # a 10**9 entry among small ones
+        batch += [exps[:i] + [big] + exps[i + 1:]
+                  for exps in batch[:40] for i in range(n + 1)]
+        for exps in batch:
+            mono = Monomial(exps)
+            for r, (test, gens) in tests.items():
+                assert test(mono.exps) == \
+                    brute_ordinary_member(n, c, r, mono, gens), (n, c, r, exps)
+        # r = 10**9: the memo holds the values seen, not a table up to r,
+        # and I^r is too large to expand, so the verdict is checked against
+        # the capped degree summed by an explicit loop
+        start = time.perf_counter()
+        test = _ordinary_test(spec, big)
+        for _ in range(200):
+            mono = Monomial([rng.choice((0, 1, 2, big - 1, big, 2 * big,
+                                         3 * big)) for _ in range(n + 1)])
+            assert test(mono.exps) == \
+                (brute_capped_degree(big, mono) >= (n - c + 2) * big), \
+                (n, c, mono.exps)
+        assert time.perf_counter() - start < 1
 
 
 def test_positive_exponent_required():
