@@ -6,7 +6,9 @@ a closed-form inequality in exact integer arithmetic; this module implements
 that criterion, a brute-force oracle that re-decides the question from the
 generators, a sufficient condition for containments between symbolic powers
 of different codimensions, and the resurgence sup { m/r : noncontainment }
-together with its witness sequence.
+together with its witness sequence.  Each oracle maps one membership test
+over ``_symbolic_scan``, the orbit representatives first, so a "no" stops
+at a failing representative and a "yes" tests every generator.
 
 A decision compares ratios by integer cross-multiplication with positive
 denominators; every ratio returned is a ``fractions.Fraction``.  No float is
@@ -21,8 +23,8 @@ from .simplicial import (
     SimplicialSpec,
     _check_spec,
     _ordinary_test,
+    _symbolic_scan,
     _symbolic_test,
-    symbolic_power_stream,
 )
 
 
@@ -58,12 +60,14 @@ def containment_criterion(n, c, m, r):
 def containment_oracle(n, c, m, r, max_candidates=None):
     """Decide the same containment by brute force: every minimal generator
     of the symbolic power must pass the ordinary-power membership test.
-    They are counted against ``max_candidates``, then tested as they stream,
-    so a noncontainment stops at its first failing generator."""
+    They are counted against ``max_candidates``, then tested as
+    _symbolic_scan yields them, the orbit representatives first.  The test
+    is invariant under permuting coordinates, so a noncontainment stops at
+    a failing representative, and a containment tests every generator."""
     spec = SimplicialSpec(n, c)
     require_int("r", r, 1)
-    _, stream = symbolic_power_stream(spec, m, max_candidates)
-    return all(map(_ordinary_test(spec, r), stream))
+    _, scan = _symbolic_scan(spec, m, max_candidates)
+    return all(map(_ordinary_test(spec, r), scan))
 
 
 def symbolic_containment_sufficient(c, d, m, s):
@@ -81,14 +85,15 @@ def symbolic_containment_oracle(n, c, d, m, s, max_candidates=None):
     """Decide the cross-codimension symbolic containment from the generators.
 
     Membership in the target symbolic power is the closed-form d-subset test,
-    so only the source ideal is enumerated, and streamed as in
-    containment_oracle.
+    so only the source ideal is enumerated, and scanned as in
+    containment_oracle: the test is invariant under permuting coordinates,
+    so a noncontainment stops within the representatives.
     """
     src = SimplicialSpec(n, c)
     dst = SimplicialSpec(n, d)
     require_int("s", s, 1)
-    _, stream = symbolic_power_stream(src, m, max_candidates)
-    return all(map(_symbolic_test(dst, s), stream))
+    _, scan = _symbolic_scan(src, m, max_candidates)
+    return all(map(_symbolic_test(dst, s), scan))
 
 
 def resurgence(n, c):

@@ -12,6 +12,7 @@ compare by total degree first, then by the exponent tuple.
 """
 
 import re
+from itertools import chain
 from operator import add, getitem
 
 from .errors import DimensionError, MonomialParseError, require_int
@@ -49,15 +50,24 @@ class _Factors(dict):
 def exps_lines(stream, length):
     """``exps_text(exps) + "\\n"`` for each exponent tuple of ``stream``, lazily.
 
-    Every tuple must have ``length`` entries.  Each factor string is made
-    once, on the first row that needs it, and kept in a table indexed by
-    variable and exponent, so a row is one join; the table never holds an
-    exponent that no row has.  The streamed ``sideal gens`` listing writes
-    these lines.
+    Every tuple must have ``length`` entries.  Once a second row comes,
+    each factor string is made once, on the first row that needs it, and
+    kept in a table indexed by variable and exponent, so a row is one join;
+    the table never holds an exponent that no row has.  A listing of one
+    row, such as a power of I(n,1), is joined by exps_text with no table,
+    whose ``length`` columns would cost more than the row.  The streamed
+    ``sideal gens`` listing writes these lines.
     """
+    rows = iter(stream)
+    first = next(rows, None)
+    second = next(rows, None)
+    if second is None:
+        if first is not None:
+            yield exps_text(first) + "\n"
+        return
     table = [_Factors(i) for i in range(length)]
-    return (("".join(map(getitem, table, exps))[1:] or "1") + "\n"
-            for exps in stream)
+    yield from (("".join(map(getitem, table, exps))[1:] or "1") + "\n"
+                for exps in chain((first, second), rows))
 
 
 class Monomial:

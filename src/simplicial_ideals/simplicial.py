@@ -17,22 +17,25 @@ of degree n+2-c.  This module builds them and computes
 Everything is exact integer combinatorics.  I(n,c), its ordinary powers and
 its symbolic powers are invariant under permuting the n+1 coordinates, so
 each of them names only the weakly decreasing minimal generators, the orbit
-representatives, and one enumerator, ``_orbits``, does the rest: it sums
-the orbit sizes before building a generator, raises BudgetExceededError
-("at least" N) once the sum passes the ``max_candidates`` budget instead of
-starting an enumeration it cannot finish, and streams the permutations of
-the representatives in the canonical descending graded-lex order, holding
-the representatives and at most ``_BLOCK`` generators at a time.
-The two ``*_stream`` functions, symbolic and ordinary (at r = 1 for I(n,c)
-itself), return that (count, stream) pair: ``sideal gens`` writes it row by
-row, the builders wrap it in a MonomialIdeal, the oracles map one membership
-test (``_ordinary_test``, ``_symbolic_test``) over it, and the claims
-multiply on representatives (``_representative_product``).
+representatives.  One count, ``_counted_orbits``, sums the orbit sizes
+before building a generator and raises BudgetExceededError ("at least" N)
+once the sum passes the ``max_candidates`` budget instead of starting an
+enumeration it cannot finish.  Two enumerators build on it.  ``_orbits``
+streams the permutations of the representatives in the canonical
+descending graded-lex order, holding the representatives and at most
+``_BLOCK`` generators at a time; the two ``*_stream`` functions, symbolic
+and ordinary (at r = 1 for I(n,c) itself), return its (count, stream)
+pair, which ``sideal gens`` writes row by row and the builders wrap in a
+MonomialIdeal.  ``_symbolic_scan`` yields the representatives first and
+then the rest of each orbit, in no canonical order: the oracles map one
+membership test (``_ordinary_test``, ``_symbolic_test``) over it, so a
+noncontainment stops within the representatives.  The claims test or
+multiply representatives directly (``_representative_product``).
 """
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain, combinations, islice
 from math import comb
 from operator import add, or_
 
@@ -222,32 +225,46 @@ def _orbit_size(mults, limit):
 _BLOCK = 1024
 
 
-def _orbits(spec, reps, max_candidates, name):
-    """(count, stream) for the ideal ``name`` of the ring of ``spec``,
+def _counted_orbits(spec, reps, max_candidates, name):
+    """(count, reps) for the ideal ``name`` of the ring of ``spec``,
     minimally generated by the coordinate permutations of ``reps``, weakly
-    decreasing int tuples whose orbits together form an antichain.
+    decreasing int tuples whose orbits together form an antichain; the
+    representatives come back as a list.
 
     ``count`` is the number of generators, the sum of the orbit sizes.
     BudgetExceededError ("at least" the count so far, see _orbit_size) is
     raised once it passes ``max_candidates`` (see budget_limit), or once the
     first orbit does, binomial(n+1, c-1) permutations of the first
     representative (v,)*(n-c+2) + (0,)*(c-1), before that is built.
+    _orbits and _symbolic_scan both count here, so a listing and an oracle
+    refuse the same ideals with the same message.
+    """
+    limit = budget_limit(max_candidates)
+    count = _orbit_size((spec.n + 2 - spec.c, spec.c - 1), limit)
+    kept = []
+    for rep in reps if count <= limit else ():
+        if kept:  # the first orbit is counted above
+            count += _orbit_size(map(rep.count, set(rep)), limit - count)
+            if count > limit:
+                break
+        kept.append(rep)
+    if count > limit:
+        raise budget_error(f"{name} has at least {count} generators", limit)
+    return count, kept
+
+
+def _orbits(spec, reps, max_candidates, name):
+    """(count, stream) for the ideal ``name``, counted by _counted_orbits.
+
     ``stream`` yields the generators' exponent tuples in descending
     graded-lex order, the degrees in descending order and, within one, the
     blocks of _orbit_blocks.  It holds the representatives and at most
     _BLOCK generators.
     """
-    limit = budget_limit(max_candidates)
-    count = _orbit_size((spec.n + 2 - spec.c, spec.c - 1), limit)
+    count, reps = _counted_orbits(spec, reps, max_candidates, name)
     by_degree = {}
-    for rep in reps if count <= limit else ():
-        if by_degree:  # the first orbit is counted above
-            count += _orbit_size(map(rep.count, set(rep)), limit - count)
-            if count > limit:
-                break
+    for rep in reps:
         by_degree.setdefault(sum(rep), []).append(rep)
-    if count > limit:
-        raise budget_error(f"{name} has at least {count} generators", limit)
     groups = map(by_degree.__getitem__, sorted(by_degree, reverse=True))
     return count, chain.from_iterable(_orbit_blocks(groups))
 
@@ -311,7 +328,8 @@ def symbolic_power_stream(spec, m, max_candidates=None):
     So the representatives are (t1,)*(n-c+1) + t, one for each partition
     t = (t1 >= ... >= tc >= 0) of m into at most c parts, and no generator
     has an exponent above m.  _symbolic_representatives lists them, and
-    _orbits counts their orbits against ``max_candidates`` and streams them.
+    _orbits counts their orbits against ``max_candidates`` and streams them;
+    the oracles' _symbolic_scan counts them the same way.
     """
     require_int("m", m, 1)
     return _orbits(spec, _symbolic_representatives(spec, m), max_candidates,
@@ -333,6 +351,28 @@ def _symbolic_representatives(spec, m):
     a generator of I^(m) outside J."""
     head = spec.n - spec.c + 1
     return ((t[0],) * head + t for t in _partitions(m, spec.c, m))
+
+
+def _symbolic_scan(spec, m, max_candidates=None):
+    """(count, scan) of the minimal generators of the m-th symbolic power of
+    I(n,c), for the oracles: the count and refusal of symbolic_power_stream
+    (_counted_orbits), but the generators in no canonical order.
+
+    ``scan`` yields each generator exactly once: first the representatives
+    (_symbolic_representatives), then the rest of each orbit in turn, as
+    _descending_permutations lists it, with no _orbit_blocks and no sort.
+    A test that is invariant under permuting coordinates fails on some
+    generator iff it fails on a representative, so a scan stopped at the
+    first failure stops within the representatives; one that passes reads
+    every generator.  It holds the representatives and one permutation.
+    """
+    require_int("m", m, 1)
+    count, reps = _counted_orbits(spec, _symbolic_representatives(spec, m),
+                                  max_candidates,
+                                  f"I^({m})({spec.n},{spec.c})")
+    # each orbit's first permutation is its representative, already yielded
+    rests = (islice(_descending_permutations(rep, 0), 1, None) for rep in reps)
+    return count, chain(reps, chain.from_iterable(rests))
 
 
 def _representative_product(reps, others):

@@ -15,7 +15,13 @@ from simplicial_ideals import (
     symbolic_member,
 )
 from simplicial_ideals.cli import main
-from simplicial_ideals.simplicial import symbolic_power_stream
+from simplicial_ideals.simplicial import (
+    _ordinary_test,
+    _symbolic_representatives,
+    _symbolic_scan,
+    _symbolic_test,
+    symbolic_power_stream,
+)
 from simplicial_ideals.containment import (
     _largest_contained_r,
     containment_boundary,
@@ -74,6 +80,25 @@ def test_oracle_against_independent_generators():
                 for r in range(1, 4):
                     expected = all(ordinary_member(spec, r, g) for g in gens)
                     assert containment_criterion(n, c, m, r) == expected
+
+
+def test_oracles_agree_with_a_full_stream_scan():
+    # the full-permutation route behind the oracles' early stop: the same
+    # tests over every generator of the canonical stream
+    for n in range(1, 5):
+        for c in range(1, n + 1):
+            spec = SimplicialSpec(n, c)
+            for m in range(1, 7):
+                gens = list(symbolic_power_stream(spec, m)[1])
+                for r in range(1, 7):
+                    assert containment_oracle(n, c, m, r) == all(
+                        map(_ordinary_test(spec, r), gens)), (n, c, m, r)
+                for d in range(1, n + 1):
+                    dst = SimplicialSpec(n, d)
+                    for s in range(1, 7):
+                        full = all(map(_symbolic_test(dst, s), gens))
+                        assert symbolic_containment_oracle(
+                            n, c, d, m, s) == full, (n, c, d, m, s)
 
 
 def test_sufficient_predicate():
@@ -391,30 +416,42 @@ def test_oracles_build_no_ideal(monkeypatch):
 
 
 def test_oracles_stop_at_the_first_failing_generator(monkeypatch):
-    counts = []
+    reads = []
 
     def counted(spec, m, max_candidates=None):
-        count, stream = symbolic_power_stream(spec, m, max_candidates)
+        count, scan = _symbolic_scan(spec, m, max_candidates)
         read = [count, 0]
-        counts.append(read)
+        reads.append(read)
 
         def reading():
-            for exps in stream:
+            for exps in scan:
                 read[1] += 1
                 yield exps
         return count, reading()
 
-    monkeypatch.setattr("simplicial_ideals.containment.symbolic_power_stream",
+    monkeypatch.setattr("simplicial_ideals.containment._symbolic_scan",
                         counted)
-    # I^(6)(5,3) has 1 806 generators; r = 5 is past the criterion's bound
+    # I^(6)(5,3) has 127 generators in 7 orbits, one per partition of 6
+    # into at most 3 parts; r = 5 is past the criterion's bound
+    spec = SimplicialSpec(5, 3)
+    assert symbolic_power_stream(spec, 6)[0] == 127
+    assert len(list(_symbolic_representatives(spec, 6))) == 7
     assert not containment_criterion(5, 3, 6, 5)
     assert not containment_oracle(5, 3, 6, 5)
-    # c > d: (m, 0, ..., 0) leaves a d-subset of zeros
+    # c < d: s = 9 is past s*c <= m*d, and (2, 2, 2, 2, 2, 0) has a
+    # 4-subset summing to 6
+    assert not symbolic_containment_oracle(5, 3, 4, 6, 9)
+    # d < c: (m, 0, ..., 0) leaves a d-subset of zeros
     assert not symbolic_containment_oracle(5, 3, 2, 6, 1)
+    # a noncontainment stops within the representatives
+    assert len(reads) == 3
+    for count, read in reads:
+        assert count == 127 and 1 <= read <= 7
     # a containment reads every generator
+    reads.clear()
     assert containment_oracle(5, 3, 6, 1)
-    (count, read), (sym_count, sym_read), (all_count, all_read) = counts
-    assert read < count and sym_read < sym_count and all_read == all_count
+    assert symbolic_containment_oracle(5, 3, 4, 6, 6)
+    assert reads == [[127, 127], [127, 127]]
 
 
 def test_oracles_check_arguments_before_the_budget():

@@ -80,6 +80,19 @@ def test_exps_lines_match_exps_text(rows):
         exps_text(exps) + "\n" for exps in rows]
 
 
+def test_exps_lines_of_one_row_build_no_table(monkeypatch):
+    # a single row, of a million entries for gens --n 999999 --c 1, is
+    # joined directly: no factor table of one column per variable
+    def refuse(i):
+        raise AssertionError("factor table built for one row")
+
+    monkeypatch.setattr("simplicial_ideals.monomials._Factors", refuse)
+    assert list(exps_lines(iter(()), 4)) == []
+    for row in ((0, 0, 0, 0), (9, 0, 1, 2), (1,) * 1000):
+        assert list(exps_lines(iter([row]), len(row))) == [
+            exps_text(row) + "\n"]
+
+
 @given(aligned_pairs)
 def test_mul_adds_exponents(pair):
     a, b = Monomial(pair[0]), Monomial(pair[1])

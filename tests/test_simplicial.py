@@ -46,8 +46,10 @@ from simplicial_ideals.simplicial import (
     _partitions,
     _representative_product,
     _symbolic_representatives,
+    _symbolic_scan,
     ordinary_member_detail,
     symbolic_member_detail,
+    symbolic_power_stream,
 )
 
 ALL_SPECS_3 = [(n, c) for n in range(1, 4) for c in range(1, n + 1)]
@@ -206,6 +208,29 @@ def test_symbolic_representatives_match_sorted_scan(n):
                     if list(g.exps) == sorted(g.exps, reverse=True)]
             assert sorted(reps) == sorted(
                 brute_symbolic_representatives(n, c, m)), (n, c, m)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_symbolic_scan_yields_each_generator_once(n):
+    # the oracles' scan: the representatives, then the rest of every
+    # orbit, each generator once; counted and refused as the stream is
+    for c in range(1, n + 1):
+        spec = SimplicialSpec(n, c)
+        for m in range(1, 7):
+            reps = list(_symbolic_representatives(spec, m))
+            count, scan = _symbolic_scan(spec, m)
+            scanned = list(scan)
+            assert scanned[:len(reps)] == reps, (n, c, m)
+            assert len(scanned) == len(set(scanned)) == count
+            assert set(scanned) == {
+                g.exps for g in symbolic_power(spec, m).gens}
+            assert count == symbolic_power_stream(spec, m)[0]
+            assert _symbolic_scan(spec, m, count)[0] == count
+            with pytest.raises(BudgetExceededError) as scan_refusal:
+                _symbolic_scan(spec, m, count - 1)
+            with pytest.raises(BudgetExceededError) as stream_refusal:
+                symbolic_power_stream(spec, m, count - 1)
+            assert str(scan_refusal.value) == str(stream_refusal.value)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
