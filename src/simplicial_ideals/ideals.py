@@ -20,29 +20,62 @@ containment ``<=`` -- goes through one structure, ``_DivisorIndex``;
 oracle of ``simplicial`` ANDs the rows of ``_le_masks`` itself, as its
 test lowers one entry of a query at a time.
 Tuple k of an index owns bit k.  For each coordinate i and each value v up
-to ``top``, the largest indexed entry, the index keeps the int whose set
-bits are the tuples with entry i <= v.  A vector a has a divisor in the
+to ``top``, a bound on every indexed entry, the index keeps the int whose
+set bits are the tuples with entry i <= v.  A vector a has a divisor in the
 index iff the AND over i of those ints at min(a_i, top) is nonzero: at most
 n+1 C-level big-int ANDs per query, however many tuples are indexed.
-Entries above ``_DENSE_TOP`` are first replaced by their ranks (``_compact``),
-so the masks never grow with the size of an exponent.
+``_le_masks`` alone decides how a row is stored: as a list over v up to
+``_DENSE_TOP``, past it as a ``_SparseLeMasks`` that holds one int per
+distinct entry, so the masks never grow with the size of an exponent.
 """
 
 from bisect import bisect_right
-from itertools import accumulate, chain, count, filterfalse, repeat
-from operator import add, getitem, le, lshift, or_
+from itertools import accumulate, chain, filterfalse, repeat
+from operator import add, le, lshift, or_
 
 from .errors import DimensionError, ParameterError, budget_error, budget_limit, require_int
 from .monomials import Monomial, exps_text
 
-# The largest entry an index keeps one mask per value for: past it, a value
-# axis of top+1 masks per coordinate would cost more than ranking the entries.
+# The largest top a row keeps one mask per value for: past it, a value axis
+# of top+1 masks per coordinate would cost more than bisecting the column's
+# distinct entries.
 _DENSE_TOP = 256
 
 
+class _SparseLeMasks:
+    """One coordinate's row of _le_masks past _DENSE_TOP: ``row[v]`` is the
+    int whose bit k is set iff entry k of the column is <= v, for any
+    v >= 0, found by bisection among the column's distinct entries.  It
+    keeps the exact mask of each distinct entry, so ``add`` merges a batch
+    into them instead of rebuilding the row from every entry."""
+
+    __slots__ = ("exact", "values", "masks")
+
+    def __init__(self, column):
+        self.exact = {}
+        self.add(column, 0)
+
+    def add(self, column, first):
+        """Give entry k of ``column`` bit first + k."""
+        exact = self.exact
+        bit = 1 << first
+        for e in column:
+            exact[e] = exact.get(e, 0) | bit
+            bit <<= 1
+        self.values = sorted(exact)
+        self.masks = [0, *accumulate(map(exact.__getitem__, self.values), or_)]
+
+    def __getitem__(self, v):
+        return self.masks[bisect_right(self.values, v)]
+
+
 def _le_masks(tuples, top):
-    """For each coordinate i, the list over v in [0, top] of the int whose
-    bit k is set iff tuples[k][i] <= v; every entry must be at most top."""
+    """For each coordinate i, the row whose item v, for v in [0, top], is
+    the int whose bit k is set iff tuples[k][i] <= v; every entry must be
+    at most top.  Up to _DENSE_TOP a row is the list of those ints; past it
+    a row is a _SparseLeMasks, which answers any v >= 0."""
+    if top > _DENSE_TOP:
+        return list(map(_SparseLeMasks, zip(*tuples)))
     rows = []
     for column in zip(*tuples):
         exact = [0] * (top + 1)
@@ -61,27 +94,31 @@ class _DivisorIndex:
     with entries at most ``top``, ``masks[i][v]`` for 0 <= v <= top has bit k
     set iff tuple k has entry i <= v.  So ``masks[i][top]`` holds all ``size``
     bits, and a query entry above top is clamped to top.  An index is built
-    from a non-empty list of tuples.
+    from a non-empty list of tuples and a ``top`` that bounds every entry it
+    will index, so ``add`` never widens a row.
     """
 
     __slots__ = ("masks", "top", "size")
 
-    def __init__(self, tuples):
-        self.top = max(chain.from_iterable(tuples))
-        self.masks = _le_masks(tuples, self.top)
+    def __init__(self, tuples, top):
+        self.top = top
+        self.masks = _le_masks(tuples, top)
         self.size = len(tuples)
 
     def add(self, tuples):
-        """Index the tuples of the list ``tuples`` as the next bits."""
+        """Index the tuples of the list ``tuples``, each entry at most
+        ``top``, as the next bits."""
         if not tuples:
             return
-        old_top, size = self.top, self.size
-        top = self.top = max(old_top, max(chain.from_iterable(tuples)))
-        # the batch's masks count bits from 0: shift them past the old ones
-        self.masks = [
-            list(map(or_, row + [row[-1]] * (top - old_top),
-                     map(lshift, batch, repeat(size))))
-            for row, batch in zip(self.masks, _le_masks(tuples, top))]
+        size = self.size
+        if isinstance(self.masks[0], _SparseLeMasks):
+            for row, column in zip(self.masks, zip(*tuples)):
+                row.add(column, size)
+        else:
+            # the batch's masks count bits from 0: shift them past the old
+            self.masks = [list(map(or_, row, map(lshift, batch, repeat(size))))
+                          for row, batch in zip(self.masks,
+                                                _le_masks(tuples, self.top))]
         self.size = size + len(tuples)
 
     def has_divisor(self, exps):
@@ -94,18 +131,6 @@ class _DivisorIndex:
             if not acc:
                 return False
         return True
-
-
-def _compact(*lists):
-    """The lists of exponent tuples with each entry replaced by its rank
-    among the distinct entries of its coordinate over all the lists.  Ranks
-    keep the order within each coordinate, so divisibility and lex order
-    between any two of the tuples are unchanged, and no rank exceeds the
-    number of tuples.  Callers rank when an indexed entry may pass
-    _DENSE_TOP, the largest that gets a dense value axis."""
-    ranks = [dict(zip(sorted(set(column)), count()))
-             for column in zip(*chain(*lists))]
-    return [[tuple(map(getitem, ranks, t)) for t in tuples] for tuples in lists]
 
 
 def _reduce_to_antichain(tuples):
@@ -123,12 +148,12 @@ def _reduce_to_antichain(tuples):
     lower-degree buckets.  Those sit in a ``_DivisorIndex`` built from the
     lowest-degree bucket, minimal as it is, and grown one bucket at a time;
     invariant: before a bucket is filtered, the index holds exactly the
-    minimal tuples of every lower degree.  A single bucket is returned as
-    it is, so an equigenerated input, such as a power of an equigenerated
-    ideal, builds no index and costs no divisibility test; the last bucket
-    is never indexed.  Callers check that every tuple has the ideal's
-    length; the sweep compares tuples ranked by ``_compact`` when an entry
-    passes _DENSE_TOP and maps the kept ones back.
+    minimal tuples of every lower degree.  The index's top is the largest
+    entry of any key, so its rows never widen as it grows.  A single bucket
+    is returned as it is, so an equigenerated input, such as a power of an
+    equigenerated ideal, builds no index and costs no divisibility test;
+    the last bucket is never indexed.  Callers check that every tuple has
+    the ideal's length.
     """
     # ascending degree, then ascending exps: the buckets in sweep order
     keys = sorted(set(tuples))
@@ -137,16 +162,9 @@ def _reduce_to_antichain(tuples):
     if not keys or degrees[0] == degrees[-1]:
         keys.reverse()
         return keys
-    original = None
-    # a degree bounds every entry, so only a large degree needs the scan
-    if degrees[-1] > _DENSE_TOP and max(chain.from_iterable(keys)) > _DENSE_TOP:
-        # ranks keep lex order, so keys stay sorted within each bucket
-        ranked, = _compact(keys)
-        original = dict(zip(ranked, keys))
-        keys = ranked
     start = bisect_right(degrees, degrees[0])
     kept = keys[:start]
-    index = _DivisorIndex(kept)
+    index = _DivisorIndex(kept, max(chain.from_iterable(keys)))
     while start < len(keys):
         end = bisect_right(degrees, degrees[start], start)
         bucket = list(filterfalse(index.has_divisor, keys[start:end]))
@@ -155,7 +173,7 @@ def _reduce_to_antichain(tuples):
         kept += bucket
         start = end
     kept.reverse()
-    return kept if original is None else list(map(original.__getitem__, kept))
+    return kept
 
 
 class MonomialIdeal:
@@ -246,11 +264,9 @@ class MonomialIdeal:
         queries, divisors = self._exps, other._exps
         if not divisors:  # the zero ideal holds only the zero ideal
             return not queries
-        # a query entry above every divisor's is clamped, so only a large
-        # divisor entry calls for ranks
-        if max(chain.from_iterable(divisors)) > _DENSE_TOP:
-            queries, divisors = _compact(queries, divisors)
-        return all(map(_DivisorIndex(divisors).has_divisor, queries))
+        # a query entry above every divisor's is clamped to the top
+        index = _DivisorIndex(divisors, max(chain.from_iterable(divisors)))
+        return all(map(index.has_divisor, queries))
 
     def __eq__(self, other):
         if not isinstance(other, MonomialIdeal):

@@ -17,7 +17,7 @@ from operator import add, getitem
 
 from .errors import DimensionError, MonomialParseError, require_int
 
-_FACTOR = re.compile(r"x(\d+)(?:\^(\d+))?$")
+_FACTOR = re.compile(r"x([0-9]+)(?:\^([0-9]+))?$")
 
 
 def _factor_text(i, e):
@@ -120,8 +120,12 @@ class Monomial:
             match = _FACTOR.fullmatch(tok)
             if match is None:
                 raise MonomialParseError(f"bad monomial factor {tok!r}")
-            i = int(match.group(1))
-            e = int(match.group(2)) if match.group(2) is not None else 1
+            try:
+                i = int(match.group(1))
+                e = int(match.group(2)) if match.group(2) is not None else 1
+            except ValueError:  # past the interpreter's int-string limit
+                raise MonomialParseError(
+                    f"factor {tok[:20]}... has too many digits") from None
             if i > n:
                 raise MonomialParseError(
                     f"variable x{i} out of range for n={n} (have x0..x{n})")

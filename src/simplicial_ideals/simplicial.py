@@ -33,14 +33,13 @@ noncontainment stops within the representatives.  The claims test or
 multiply representatives directly (``_representative_product``).
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations, islice
+from itertools import chain, combinations, islice
 from math import comb
-from operator import add, or_
+from operator import add
 
 from .errors import DimensionError, ParameterError, budget_error, budget_limit, require_int
-from .ideals import _DENSE_TOP, MonomialIdeal, _le_masks, _reduce_to_antichain
+from .ideals import MonomialIdeal, _le_masks, _reduce_to_antichain
 
 
 @dataclass(frozen=True)
@@ -454,25 +453,6 @@ def symbolic_power_oracle(spec, m, max_candidates=None):
     return MonomialIdeal._from_canonical(n, gens)
 
 
-class _SparseLeMasks:
-    """One coordinate's row of _le_masks for entries past _DENSE_TOP: the
-    int whose bit k is set iff entry k of ``column`` is <= v, for any v >= 0,
-    found by bisection among the column's distinct entries, so it holds one
-    int per distinct entry, however large the entries are."""
-
-    __slots__ = ("values", "masks")
-
-    def __init__(self, column):
-        exact = {}
-        for k, e in enumerate(column):
-            exact[e] = exact.get(e, 0) | 1 << k
-        self.values = sorted(exact)
-        self.masks = [0, *accumulate(map(exact.__getitem__, self.values), or_)]
-
-    def __getitem__(self, v):
-        return self.masks[bisect_right(self.values, v)]
-
-
 def _face_prime_step(gens, deficits, subset, compositions):
     """The minimal generators of J meet P_S^m, in no particular order, from
     the list ``gens`` of those of J, the deficit m - s_g of each, and the
@@ -486,14 +466,12 @@ def _face_prime_step(gens, deficits, subset, compositions):
     S left out: h <= a - e_j needs h <= g off S, and h_j <= g_j - 1 at j.
     A lift a = g + b is then kept iff the witness mask, ANDed with the rows
     of S at a's entries, is empty: c ANDs per lift, none when no h
-    qualifies.  Each row of the index keeps one mask per value up to
-    ``top``, which bounds every entry of G and of the lifts; past
-    _DENSE_TOP, each row is a _SparseLeMasks instead.
+    qualifies.  The index's ``top`` bounds every entry of G and of the
+    lifts, and _le_masks picks the row kind from it.
     """
     c = len(subset)
     top = max(chain.from_iterable(gens)) + max(0, *deficits)
-    rows = (_le_masks(gens, top) if top <= _DENSE_TOP
-            else list(map(_SparseLeMasks, zip(*gens))))
+    rows = _le_masks(gens, top)
     inner = [rows[i] for i in subset]
     outer = [(rows[j], j) for j in range(len(rows)) if j not in subset]
     kept, lifts = [], set()

@@ -443,6 +443,13 @@ def test_usage_errors_exit_two(capsys):
     code, _, err = run_cli(capsys, "member", "--n", "2", "--c", "2",
                            "--symbolic", "2", "x9")
     assert code == 2 and "x9" in err
+    # too many digits for int(), or digits outside ASCII: a parse error,
+    # not a traceback
+    for text in ("x1^" + "9" * 5000, "x" + "1" * 5000, "x\u0661^\u0662",
+                 "x1^\uff13"):
+        code, _, err = run_cli(capsys, "member", "--n", "2", "--c", "2",
+                               "--symbolic", "1", text)
+        assert code == 2 and err.startswith("error: "), text
     code, _, err = run_cli(capsys, "gens", "--n", "2", "--c", "2",
                            "--symbolic", "0")
     assert code == 2

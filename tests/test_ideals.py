@@ -1,3 +1,5 @@
+from itertools import chain
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from simplicial_ideals import (
     ParameterError,
     intersect_all,
 )
+from simplicial_ideals.ideals import _DENSE_TOP, _DivisorIndex, _SparseLeMasks
 
 
 def ideal_of(n, *exps):
@@ -67,19 +70,24 @@ def test_reduction_matches_brute_minimalize(case):
     assert (mono in ideal) == expected
 
 
-HUGE = 2 ** 40  # far past any value axis the divisor index keeps dense
+# far past _DENSE_TOP: rows are bisected, however large the entries
+HUGE = 2 ** 40
 
 
 @st.composite
 def ideal_pair_case(draw):
     """Two ideals of one ring n in 1..4, each zero, unit or mixed-degree
     with duplicates, and a monomial whose entries may pass every generator's.
-    Half the cases mix in exponents near HUGE."""
+    A third of the cases mix in exponents near HUGE, and a third exponents
+    on either side of _DENSE_TOP, where rows turn from lists to bisected."""
     n = draw(st.integers(1, 4))
-    big = draw(st.booleans())
-    if big:
+    kind = draw(st.sampled_from(["small", "boundary", "huge"]))
+    if kind == "huge":
         entries = st.sampled_from([0, 1, 2, 3, HUGE, HUGE + 1])
         query_entries = st.sampled_from([0, 1, 3, 6, HUGE, HUGE + 2])
+    elif kind == "boundary":
+        entries = st.sampled_from([0, 1, 2, 255, 256, 257, 258])
+        query_entries = st.sampled_from([0, 2, 255, 256, 257, 258, 516])
     else:
         entries, query_entries = st.integers(0, 3), st.integers(0, 6)
     monos = st.lists(entries, min_size=n + 1, max_size=n + 1).map(Monomial)
@@ -125,6 +133,11 @@ def multiples_pair_case(draw):
           Monomial((6, 0, 0))))
 @example((1, [Monomial((HUGE, 0)), Monomial((0, HUGE + 1))],
           [Monomial((HUGE, 1)), Monomial((1, 1))], Monomial((HUGE + 2, 1))))
+# the lowest-degree bucket is all small entries and a later indexed bucket
+# passes _DENSE_TOP: the index's rows are sparse from the start
+@example((1, [Monomial((1, 1)), Monomial((0, 257)), Monomial((258, 0)),
+              Monomial((1, 258))],
+          [Monomial((2, 0)), Monomial((0, 256))], Monomial((258, 2))))
 @settings(max_examples=300)
 def test_index_matches_pairwise_routes(case):
     """Product, intersection, containment and membership against routes
@@ -203,6 +216,26 @@ def test_containment_against_the_zero_ideal():
     assert not MonomialIdeal(2, [Monomial((0, 0, 0))]) <= zero
     assert ideal & zero == zero
     assert Monomial((0, 0, 0)) not in zero
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 10 ** 6), min_size=n + 1, max_size=n + 1).map(
+        tuple), min_size=2, max_size=12)), st.integers(1, 11))
+def test_sparse_rows_match_a_bit_count(tuples, split):
+    # a second batch added at bit offset size merges into the exact masks
+    split = min(split, len(tuples) - 1)
+    top = max(_DENSE_TOP + 1, *chain.from_iterable(tuples))
+    index = _DivisorIndex(tuples[:split], top)
+    index.add(tuples[split:])
+    assert index.size == len(tuples)
+    for i, row in enumerate(index.masks):
+        assert isinstance(row, _SparseLeMasks)
+        probes = {0, top + 1}
+        for t in tuples:
+            probes.update((t[i] - 1, t[i], t[i] + 1))
+        for v in probes - {-1}:
+            expected = sum(1 << k for k, t in enumerate(tuples) if t[i] <= v)
+            assert row[v] == expected, (i, v)
 
 
 def test_reduction_through_an_emptied_bucket():

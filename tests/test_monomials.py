@@ -63,6 +63,12 @@ def test_parse_errors():
         Monomial.parse("x0^", 2)
     with pytest.raises(MonomialParseError):
         Monomial.parse("", 2)
+    # digit strings past int()'s length limit, in an exponent and in an
+    # index, and digits outside ASCII (Arabic-Indic, fullwidth)
+    for text in ("x1^" + "9" * 5000, "x" + "1" * 5000, "x\u0661^\u0662",
+                 "x1^\uff13"):
+        with pytest.raises(MonomialParseError):
+            Monomial.parse(text, 2)
 
 
 @given(exp_vectors)

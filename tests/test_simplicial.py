@@ -511,11 +511,14 @@ def test_face_prime_step_keeps_exactly_the_minimal_lifts(n, data):
                 assert set(got) == expected, (gens, subset, m)
 
 
-def test_oracle_past_the_dense_top():
-    # entries pass _DENSE_TOP, so each step bisects sparse rows
-    # (_SparseLeMasks) in place of a value axis per coordinate
+@pytest.mark.parametrize("m", (200, 300))
+def test_oracle_past_the_dense_top(m):
+    # a step whose top, the largest entry plus the largest deficit, passes
+    # _DENSE_TOP bisects sparse rows in place of a value axis per
+    # coordinate: at m = 200 the first step's rows are dense and the later
+    # steps' sparse, at m = 300 every step's rows are sparse
     spec = SimplicialSpec(2, 2)
-    assert symbolic_power_oracle(spec, 300) == symbolic_power(spec, 300)
+    assert symbolic_power_oracle(spec, m) == symbolic_power(spec, m)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
