@@ -262,6 +262,8 @@ class MonomialIdeal:
         """Containment self <= other: every generator of self lies in other."""
         self._check_same_ring(other)
         queries, divisors = self._exps, other._exps
+        if queries == divisors:  # canonical, so equal ideals: no index
+            return True
         if not divisors:  # the zero ideal holds only the zero ideal
             return not queries
         # a query entry above every divisor's is clamped to the top

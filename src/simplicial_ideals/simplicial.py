@@ -26,11 +26,14 @@ descending graded-lex order, holding the representatives and at most
 ``_BLOCK`` generators at a time; the two ``*_stream`` functions, symbolic
 and ordinary (at r = 1 for I(n,c) itself), return its (count, stream)
 pair, which ``sideal gens`` writes row by row and the builders wrap in a
-MonomialIdeal.  ``_symbolic_scan`` yields the representatives first and
-then the rest of each orbit, in no canonical order: the oracles map one
-membership test (``_ordinary_test``, ``_symbolic_test``) over it, so a
-noncontainment stops within the representatives.  The claims test or
-multiply representatives directly (``_representative_product``).
+MonomialIdeal.  Its order needs the lex successor of a permutation
+(``_descending_permutations``).  ``_symbolic_scan`` yields the
+representatives first and then the rest of each orbit, in no canonical
+order: it walks each orbit by prefix shifts (``_permutations``, one list
+move per generator), and the oracles map one membership test
+(``_ordinary_test``, ``_symbolic_test``) over it, so a noncontainment
+stops within the representatives.  The claims test or multiply
+representatives directly (``_representative_product``).
 """
 
 from dataclasses import dataclass
@@ -188,7 +191,10 @@ def _descending_permutations(seq, fixed):
     ``fixed`` entries in place, exactly once, in descending lexicographic
     order.  The step to the next permutation takes the rightmost i with
     seq[i] > seq[i + 1], swaps seq[i] with the rightmost smaller entry after
-    it, and reverses the (ascending) tail; it stops when i < fixed."""
+    it, and reverses the (ascending) tail; it stops when i < fixed.  Its
+    one caller is _orbit_blocks, whose canonical listing needs this order
+    after a fixed prefix; walks in no particular order use _permutations,
+    whose steps search for nothing."""
     seq = list(seq)
     seq[fixed:] = sorted(seq[fixed:], reverse=True)
     k = len(seq)
@@ -204,6 +210,29 @@ def _descending_permutations(seq, fixed):
             j -= 1
         seq[i], seq[j] = seq[j], seq[i]
         seq[i + 1:] = seq[:i:-1]
+
+
+def _permutations(rep):
+    """Each distinct permutation of the nonempty weakly decreasing tuple
+    ``rep`` exactly once, ``rep`` first, in cool-lex order (Williams,
+    "Loopless generation of multiset permutations using a constant number
+    of variables by prefix shifts", SODA 2009).
+
+    Each step moves one entry to the front, a prefix shift.  With a[:i + 1]
+    the longest weakly decreasing prefix (i = len - 2 at ``rep``, which has
+    none longer), the entry moved is a[i + 2] if it exists and a[i] >=
+    a[i + 2], else a[i + 1]; the walk ends when no a[i + 2] exists and
+    a[i + 1] >= a[0].  No step searches for a successor, so one costs a
+    list move and a tuple, about half a step of _descending_permutations."""
+    a = list(rep)
+    k = len(a)
+    yield rep
+    i = k - 2
+    while i + 2 < k or a[i + 1] < a[0]:
+        s = i + 1 if i + 2 < k and a[i] >= a[i + 2] else i
+        a.insert(0, a.pop(s + 1))
+        i = 0 if a[0] < a[1] else i + 1
+        yield tuple(a)
 
 
 def _orbit_size(mults, limit):
@@ -359,7 +388,8 @@ def _symbolic_scan(spec, m, max_candidates=None):
 
     ``scan`` yields each generator exactly once: first the representatives
     (_symbolic_representatives), then the rest of each orbit in turn, as
-    _descending_permutations lists it, with no _orbit_blocks and no sort.
+    _permutations walks it by prefix shifts, with no _orbit_blocks and no
+    sort.
     A test that is invariant under permuting coordinates fails on some
     generator iff it fails on a representative, so a scan stopped at the
     first failure stops within the representatives; one that passes reads
@@ -370,7 +400,7 @@ def _symbolic_scan(spec, m, max_candidates=None):
                                   max_candidates,
                                   f"I^({m})({spec.n},{spec.c})")
     # each orbit's first permutation is its representative, already yielded
-    rests = (islice(_descending_permutations(rep, 0), 1, None) for rep in reps)
+    rests = (islice(_permutations(rep), 1, None) for rep in reps)
     return count, chain(reps, chain.from_iterable(rests))
 
 
@@ -380,10 +410,13 @@ def _representative_product(reps, others):
     invariant under permuting coordinates.  Exact as, for weakly decreasing
     u and v, some permutation of u divides v iff u <= v entrywise, and as
     every generator of I*J, permuted so that its I-factor is a
-    representative r, is r + p, p a permutation of a tuple of ``others``."""
+    representative r, is r + p, p a permutation of a tuple of ``others``.
+    The tuples of ``others`` are weakly decreasing, and _permutations walks
+    each one's orbit; the order of the candidates does not matter, as
+    _reduce_to_antichain sorts them."""
     return _reduce_to_antichain(
         tuple(sorted(map(add, r, p), reverse=True)) for s in others
-        for p in _descending_permutations(s, 0) for r in reps)
+        for p in _permutations(s) for r in reps)
 
 
 def symbolic_power(spec, m, max_candidates=None):

@@ -13,6 +13,7 @@ from simplicial_ideals import (
     ParameterError,
     intersect_all,
 )
+from simplicial_ideals import ideals
 from simplicial_ideals.ideals import _DENSE_TOP, _DivisorIndex, _SparseLeMasks
 
 
@@ -216,6 +217,25 @@ def test_containment_against_the_zero_ideal():
     assert not MonomialIdeal(2, [Monomial((0, 0, 0))]) <= zero
     assert ideal & zero == zero
     assert Monomial((0, 0, 0)) not in zero
+
+
+def test_le_of_equal_ideals_builds_no_index(monkeypatch):
+    # equal canonical generator tuples answer at once, so S <= S on a
+    # large S builds no divisor index over S
+    def refuse(*args):
+        raise AssertionError("built a _DivisorIndex")
+
+    I = ideal_of(2, (2, 0, 0), (1, 1, 1), (0, 3, 2))
+    same = MonomialIdeal(2, reversed(I.gens))
+    assert same._exps == I._exps and same._exps is not I._exps
+    monkeypatch.setattr(ideals, "_DivisorIndex", refuse)
+    assert I <= I and I <= same and same <= I and ZERO <= ZERO
+    monkeypatch.undo()
+    for J, K in INTERSECTION_CASES.values():
+        for a, b in ((J, K), (K, J)):
+            assert (a <= b) == all(
+                any(d.divides(q) for d in _minimalize(b.gens))
+                for q in _minimalize(a.gens)), (a, b)
 
 
 @given(st.integers(1, 3).flatmap(lambda n: st.lists(

@@ -1,7 +1,7 @@
 import random
 import re
 import time
-from itertools import combinations
+from itertools import combinations, islice, permutations
 from math import comb
 
 import pytest
@@ -44,6 +44,7 @@ from simplicial_ideals.simplicial import (
     _ordinary_representatives,
     _ordinary_test,
     _partitions,
+    _permutations,
     _representative_product,
     _symbolic_representatives,
     _symbolic_scan,
@@ -210,13 +211,16 @@ def test_symbolic_representatives_match_sorted_scan(n):
                 brute_symbolic_representatives(n, c, m)), (n, c, m)
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
 def test_symbolic_scan_yields_each_generator_once(n):
     # the oracles' scan: the representatives, then the rest of every
-    # orbit, each generator once; counted and refused as the stream is
+    # orbit, each generator once; counted and refused as the stream is.
+    # The scan walks orbits by prefix shifts and the stream in lex order,
+    # so two walks are compared; n = 8 at m = 8 are the oracle-sweep
+    # bench's largest scans (up to 31 290 generators)
     for c in range(1, n + 1):
         spec = SimplicialSpec(n, c)
-        for m in range(1, 7):
+        for m in (8,) if n == 8 else range(1, 7):
             reps = list(_symbolic_representatives(spec, m))
             count, scan = _symbolic_scan(spec, m)
             scanned = list(scan)
@@ -231,6 +235,18 @@ def test_symbolic_scan_yields_each_generator_once(n):
             with pytest.raises(BudgetExceededError) as stream_refusal:
                 symbolic_power_stream(spec, m, count - 1)
             assert str(scan_refusal.value) == str(stream_refusal.value)
+
+
+@given(st.lists(st.sampled_from([0, 1, 2, 5, 10**9]), min_size=1, max_size=9)
+       .map(lambda entries: tuple(sorted(entries, reverse=True))))
+@settings(max_examples=200)
+def test_permutations_walk_each_orbit_once(rep):
+    # one step past the orbit's size, so a walk that does not end fails
+    orbit = set(permutations(rep))
+    walk = list(islice(_permutations(rep), len(orbit) + 1))
+    assert walk[0] == rep
+    assert len(walk) == len(set(walk))
+    assert set(walk) == orbit
 
 
 @pytest.mark.parametrize("n", range(1, 6))
