@@ -15,23 +15,25 @@ an ideal.  ``gens`` wraps the tuples in ``Monomial`` only when someone asks
 for them.
 
 Every batch of divisibility tests -- reduction to the antichain and
-containment ``<=`` -- goes through one structure, ``_DivisorIndex``;
-``contains``, a single query, scans the generators.  The face-prime
-oracle of ``simplicial`` ANDs the rows of ``_le_masks`` itself, as its
-test lowers one entry of a query at a time.
+containment ``<=`` -- goes through one structure, ``_DivisorIndex``, built
+once over a fixed list; ``contains``, a single query, scans the
+generators.  The face-prime oracle of ``simplicial`` ANDs the rows of
+``_le_masks`` itself, as its test lowers one entry of a query at a time.
 Tuple k of an index owns bit k.  For each coordinate i and each value v up
 to ``top``, a bound on every indexed entry, the index keeps the int whose
-set bits are the tuples with entry i <= v.  A vector a has a divisor in the
-index iff the AND over i of those ints at min(a_i, top) is nonzero: at most
-n+1 C-level big-int ANDs per query, however many tuples are indexed.
+set bits are the tuples with entry i <= v.  The AND over i of those ints at
+min(a_i, top) holds exactly the indexed divisors of a vector a: n+1
+C-level big-int ANDs per query, however many tuples are indexed.  So
+containment asks that it be nonzero at each query, and the reduction, which
+indexes its own candidates, that it be the candidate's own bit alone.
 ``_le_masks`` alone decides how a row is stored: as a list over v up to
 ``_DENSE_TOP``, past it as a ``_SparseLeMasks`` that holds one int per
 distinct entry, so the masks never grow with the size of an exponent.
 """
 
 from bisect import bisect_right
-from itertools import accumulate, chain, filterfalse, repeat
-from operator import add, le, lshift, or_
+from itertools import accumulate, chain, repeat
+from operator import add, le, or_
 
 from .errors import DimensionError, ParameterError, budget_error, budget_limit, require_int
 from .monomials import Monomial, exps_text
@@ -45,20 +47,13 @@ _DENSE_TOP = 256
 class _SparseLeMasks:
     """One coordinate's row of _le_masks past _DENSE_TOP: ``row[v]`` is the
     int whose bit k is set iff entry k of the column is <= v, for any
-    v >= 0, found by bisection among the column's distinct entries.  It
-    keeps the exact mask of each distinct entry, so ``add`` merges a batch
-    into them instead of rebuilding the row from every entry."""
+    v >= 0, found by bisection among the column's distinct entries."""
 
-    __slots__ = ("exact", "values", "masks")
+    __slots__ = ("values", "masks")
 
     def __init__(self, column):
-        self.exact = {}
-        self.add(column, 0)
-
-    def add(self, column, first):
-        """Give entry k of ``column`` bit first + k."""
-        exact = self.exact
-        bit = 1 << first
+        exact = {}
+        bit = 1
         for e in column:
             exact[e] = exact.get(e, 0) | bit
             bit <<= 1
@@ -88,49 +83,28 @@ def _le_masks(tuples, top):
 
 
 class _DivisorIndex:
-    """Exact divisibility test against a growing set of exponent tuples.
+    """Exact divisibility test against a fixed list of exponent tuples.
 
-    Invariant: with ``size`` tuples indexed, all of length ``len(masks)`` and
-    with entries at most ``top``, ``masks[i][v]`` for 0 <= v <= top has bit k
-    set iff tuple k has entry i <= v.  So ``masks[i][top]`` holds all ``size``
-    bits, and a query entry above top is clamped to top.  An index is built
-    from a non-empty list of tuples and a ``top`` that bounds every entry it
-    will index, so ``add`` never widens a row.
+    Tuple k of the list owns bit k.  With every entry at most ``top``,
+    ``masks[i][v]`` for 0 <= v <= top has bit k set iff tuple k has entry
+    i <= v, so ``masks[i][top]`` holds every bit and a query entry above
+    top is clamped to top.  An index is built once, from a non-empty list.
     """
 
-    __slots__ = ("masks", "top", "size")
+    __slots__ = ("masks", "top")
 
     def __init__(self, tuples, top):
         self.top = top
         self.masks = _le_masks(tuples, top)
-        self.size = len(tuples)
 
-    def add(self, tuples):
-        """Index the tuples of the list ``tuples``, each entry at most
-        ``top``, as the next bits."""
-        if not tuples:
-            return
-        size = self.size
-        if isinstance(self.masks[0], _SparseLeMasks):
-            for row, column in zip(self.masks, zip(*tuples)):
-                row.add(column, size)
-        else:
-            # the batch's masks count bits from 0: shift them past the old
-            self.masks = [list(map(or_, row, map(lshift, batch, repeat(size))))
-                          for row, batch in zip(self.masks,
-                                                _le_masks(tuples, self.top))]
-        self.size = size + len(tuples)
-
-    def has_divisor(self, exps):
-        """True iff some indexed tuple is <= ``exps`` entrywise.  The AND
-        stops at the first coordinate that leaves no candidate."""
+    def divisors(self, exps):
+        """The int whose bit k is set iff indexed tuple k is <= ``exps``
+        entrywise: the AND over i of the rows at exps[i]."""
         top = self.top
         acc = -1
         for row, e in zip(self.masks, exps):
             acc &= row[e if e < top else top]
-            if not acc:
-                return False
-        return True
+        return acc
 
 
 def _reduce_to_antichain(tuples):
@@ -141,39 +115,23 @@ def _reduce_to_antichain(tuples):
     tuples, and the ideal keeps the minimal ones as they are
     (``MonomialIdeal._from_canonical``).
 
-    Candidates are deduplicated and bucketed by total degree.  A strict
-    divisor has strictly smaller total degree (distinct tuples of equal
-    degree never divide one another), so the buckets are swept in ascending
-    degree and each candidate is tested only against the tuples kept from
-    lower-degree buckets.  Those sit in a ``_DivisorIndex`` built from the
-    lowest-degree bucket, minimal as it is, and grown one bucket at a time;
-    invariant: before a bucket is filtered, the index holds exactly the
-    minimal tuples of every lower degree.  The index's top is the largest
-    entry of any key, so its rows never widen as it grows.  A single bucket
-    is returned as it is, so an equigenerated input, such as a power of an
-    equigenerated ideal, builds no index and costs no divisibility test;
-    the last bucket is never indexed.  Callers check that every tuple has
-    the ideal's length.
+    Distinct tuples of equal degree never divide one another, so input of
+    one degree, such as a power of an equigenerated ideal, is returned as
+    it is, deduplicated and sorted, with no index and no divisibility test.
+    Otherwise the distinct candidates are indexed once in a
+    ``_DivisorIndex`` whose top is their largest entry, tuple k as bit k,
+    and tuple k is kept iff the AND of its rows is ``1 << k``: the only
+    candidate that divides it is itself.  Callers check that every tuple
+    has the ideal's length.
     """
-    # ascending degree, then ascending exps: the buckets in sweep order
+    # ascending degree, then ascending exps; reversed at the end
     keys = sorted(set(tuples))
     keys.sort(key=sum)
-    degrees = list(map(sum, keys))
-    if not keys or degrees[0] == degrees[-1]:
-        keys.reverse()
-        return keys
-    start = bisect_right(degrees, degrees[0])
-    kept = keys[:start]
-    index = _DivisorIndex(kept, max(chain.from_iterable(keys)))
-    while start < len(keys):
-        end = bisect_right(degrees, degrees[start], start)
-        bucket = list(filterfalse(index.has_divisor, keys[start:end]))
-        if end < len(keys):
-            index.add(bucket)
-        kept += bucket
-        start = end
-    kept.reverse()
-    return kept
+    if keys and sum(keys[0]) != sum(keys[-1]):
+        index = _DivisorIndex(keys, max(chain.from_iterable(keys)))
+        keys = [t for k, t in enumerate(keys) if index.divisors(t) == 1 << k]
+    keys.reverse()
+    return keys
 
 
 class MonomialIdeal:
@@ -268,7 +226,7 @@ class MonomialIdeal:
             return not queries
         # a query entry above every divisor's is clamped to the top
         index = _DivisorIndex(divisors, max(chain.from_iterable(divisors)))
-        return all(map(index.has_divisor, queries))
+        return all(map(index.divisors, queries))
 
     def __eq__(self, other):
         if not isinstance(other, MonomialIdeal):

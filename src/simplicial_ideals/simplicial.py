@@ -20,20 +20,21 @@ each of them names only the weakly decreasing minimal generators, the orbit
 representatives.  One count, ``_counted_orbits``, sums the orbit sizes
 before building a generator and raises BudgetExceededError ("at least" N)
 once the sum passes the ``max_candidates`` budget instead of starting an
-enumeration it cannot finish.  Two enumerators build on it.  ``_orbits``
-streams the permutations of the representatives in the canonical
-descending graded-lex order, holding the representatives and at most
-``_BLOCK`` generators at a time; the two ``*_stream`` functions, symbolic
-and ordinary (at r = 1 for I(n,c) itself), return its (count, stream)
-pair, which ``sideal gens`` writes row by row and the builders wrap in a
-MonomialIdeal.  Its order needs the lex successor of a permutation
-(``_descending_permutations``).  ``_symbolic_scan`` yields the
-representatives first and then the rest of each orbit, in no canonical
-order: it walks each orbit by prefix shifts (``_permutations``, one list
-move per generator), and the oracles map one membership test
-(``_ordinary_test``, ``_symbolic_test``) over it, so a noncontainment
-stops within the representatives.  The claims test or multiply
-representatives directly (``_representative_product``).
+enumeration it cannot finish.  One permutation walk, ``_permutations``,
+steps through an orbit by prefix shifts, one list move per generator, and
+every listing or scan of an orbit walks it.  Two enumerators build on the
+count.  ``_orbits`` streams the permutations of the representatives in the
+canonical descending graded-lex order, holding the representatives and at
+most ``_BLOCK`` generators at a time: ``_orbit_blocks`` sorts the walked
+orbits in blocks.  The two ``*_stream`` functions, symbolic and ordinary
+(at r = 1 for I(n,c) itself), return its (count, stream) pair, which
+``sideal gens`` writes row by row and the builders wrap in a
+MonomialIdeal.  ``_symbolic_scan`` yields the representatives first and
+then the rest of each orbit as the walk gives it, in no canonical order,
+and the oracles map one membership test (``_ordinary_test``,
+``_symbolic_test``) over it, so a noncontainment stops within the
+representatives.  The claims test or multiply representatives directly
+(``_representative_product``).
 """
 
 from dataclasses import dataclass
@@ -186,32 +187,6 @@ def _partitions(total, parts, cap):
         start, rest = i + 1, rest + 1
 
 
-def _descending_permutations(seq, fixed):
-    """Each distinct permutation of the tuple ``seq`` that keeps its first
-    ``fixed`` entries in place, exactly once, in descending lexicographic
-    order.  The step to the next permutation takes the rightmost i with
-    seq[i] > seq[i + 1], swaps seq[i] with the rightmost smaller entry after
-    it, and reverses the (ascending) tail; it stops when i < fixed.  Its
-    one caller is _orbit_blocks, whose canonical listing needs this order
-    after a fixed prefix; walks in no particular order use _permutations,
-    whose steps search for nothing."""
-    seq = list(seq)
-    seq[fixed:] = sorted(seq[fixed:], reverse=True)
-    k = len(seq)
-    while True:
-        yield tuple(seq)
-        i = k - 2
-        while i >= fixed and seq[i] <= seq[i + 1]:
-            i -= 1
-        if i < fixed:
-            return
-        j = k - 1
-        while seq[j] >= seq[i]:
-            j -= 1
-        seq[i], seq[j] = seq[j], seq[i]
-        seq[i + 1:] = seq[:i:-1]
-
-
 def _permutations(rep):
     """Each distinct permutation of the nonempty weakly decreasing tuple
     ``rep`` exactly once, ``rep`` first, in cool-lex order (Williams,
@@ -223,7 +198,7 @@ def _permutations(rep):
     none longer), the entry moved is a[i + 2] if it exists and a[i] >=
     a[i + 2], else a[i + 1]; the walk ends when no a[i + 2] exists and
     a[i + 1] >= a[0].  No step searches for a successor, so one costs a
-    list move and a tuple, about half a step of _descending_permutations."""
+    list move and a tuple."""
     a = list(rep)
     k = len(a)
     yield rep
@@ -304,24 +279,19 @@ def _orbit_blocks(groups):
     Within one degree the vectors with a larger first entry come first, and
     those with first entry v are v followed by the orbits of the
     representatives that contain v, with one v removed.  So the work is a
-    stack of (prefix, remainders) pairs: a lone remainder is one orbit,
-    already in order; remainders of at most _BLOCK vectors in all are listed
-    and sorted; larger ones are split on their next entry, largest first.
-    Orbits are disjoint, so each generator comes once."""
+    stack of (prefix, remainders) pairs.  Remainders of at most _BLOCK
+    vectors in all are walked (_permutations) and sorted without the shared
+    prefix, which is put back on each as it is yielded; larger ones, a lone
+    orbit among them, are split on their next entry, largest first.  Orbits
+    are disjoint, so each generator comes once."""
     for group in groups:
         stack = [((), group)]
         while stack:
             prefix, rests = stack.pop()
-            fixed = len(prefix)
-            if len(rests) == 1:
-                yield _descending_permutations(prefix + rests[0], fixed)
-            elif sum(_orbit_size(map(rest.count, set(rest)), _BLOCK)
-                     for rest in rests) <= _BLOCK:
-                block = [perm for rest in rests
-                         for perm in _descending_permutations(prefix + rest,
-                                                              fixed)]
-                block.sort(reverse=True)
-                yield block
+            if sum(_orbit_size(map(rest.count, set(rest)), _BLOCK)
+                   for rest in rests) <= _BLOCK:
+                suffixes = chain.from_iterable(map(_permutations, rests))
+                yield map(prefix.__add__, sorted(suffixes, reverse=True))
             else:
                 splits = {}
                 for rest in rests:

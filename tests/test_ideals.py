@@ -134,8 +134,8 @@ def multiples_pair_case(draw):
           Monomial((6, 0, 0))))
 @example((1, [Monomial((HUGE, 0)), Monomial((0, HUGE + 1))],
           [Monomial((HUGE, 1)), Monomial((1, 1))], Monomial((HUGE + 2, 1))))
-# the lowest-degree bucket is all small entries and a later indexed bucket
-# passes _DENSE_TOP: the index's rows are sparse from the start
+# the lowest-degree candidates have small entries and higher ones pass
+# _DENSE_TOP: the one index over all of them has sparse rows
 @example((1, [Monomial((1, 1)), Monomial((0, 257)), Monomial((258, 0)),
               Monomial((1, 258))],
           [Monomial((2, 0)), Monomial((0, 256))], Monomial((258, 2))))
@@ -240,14 +240,10 @@ def test_le_of_equal_ideals_builds_no_index(monkeypatch):
 
 @given(st.integers(1, 3).flatmap(lambda n: st.lists(
     st.lists(st.integers(0, 10 ** 6), min_size=n + 1, max_size=n + 1).map(
-        tuple), min_size=2, max_size=12)), st.integers(1, 11))
-def test_sparse_rows_match_a_bit_count(tuples, split):
-    # a second batch added at bit offset size merges into the exact masks
-    split = min(split, len(tuples) - 1)
+        tuple), min_size=2, max_size=12)))
+def test_sparse_rows_match_a_bit_count(tuples):
     top = max(_DENSE_TOP + 1, *chain.from_iterable(tuples))
-    index = _DivisorIndex(tuples[:split], top)
-    index.add(tuples[split:])
-    assert index.size == len(tuples)
+    index = _DivisorIndex(tuples, top)
     for i, row in enumerate(index.masks):
         assert isinstance(row, _SparseLeMasks)
         probes = {0, top + 1}
@@ -259,10 +255,27 @@ def test_sparse_rows_match_a_bit_count(tuples, split):
 
 
 def test_reduction_through_an_emptied_bucket():
-    # x0^2 falls to x0, so the degree-2 bucket adds nothing to the divisor
-    # index before the degree-3 bucket is swept
+    # every degree from 1 to 3 has a candidate and x0^2, the only one of
+    # degree 2, falls to x0: a degree can keep nothing while a higher one
+    # keeps a tuple
     ideal = ideal_of(2, (1, 0, 0), (2, 0, 0), (1, 0, 2), (0, 3, 0))
     assert ideal.gens == (Monomial((0, 3, 0)), Monomial((1, 0, 0)))
+
+
+def test_reduction_of_one_degree_builds_no_index(monkeypatch):
+    # distinct tuples of one degree form an antichain: deduplicated and
+    # sorted, with no divisor index
+    def refuse(*args):
+        raise AssertionError("built a _DivisorIndex")
+
+    monkeypatch.setattr(ideals, "_DivisorIndex", refuse)
+    tuples = [(0, 2, 1), (1, 1, 1), (3, 0, 0), (0, 2, 1), (1, 2, 0)]
+    assert ideals._reduce_to_antichain(tuples) == [
+        (3, 0, 0), (1, 2, 0), (1, 1, 1), (0, 2, 1)]
+    assert ideals._reduce_to_antichain([]) == []
+    I = ideal_of(2, (1, 1, 0), (0, 1, 1))
+    assert (I * I).gens == tuple(map(Monomial, (
+        (2, 2, 0), (1, 2, 1), (0, 2, 2))))
 
 
 def test_pow_basics():

@@ -249,6 +249,25 @@ def test_permutations_walk_each_orbit_once(rep):
     assert set(walk) == orbit
 
 
+def test_listings_past_the_block_match_brute():
+    # I(12, 7) is one orbit of C(13, 7) = 1716 > _BLOCK generators
+    ones = [tuple(int(i in chosen) for i in range(13))
+            for chosen in combinations(range(13), 7)]
+    assert len(ones) == comb(13, 7) > simplicial._BLOCK
+    assert simplicial_ideal(SimplicialSpec(12, 7))._exps == tuple(
+        sorted(ones, reverse=True))
+    # I^(4)(8, 6) has a degree of 1386 > _BLOCK generators in two orbits
+    reps = brute_symbolic_representatives(8, 6, 4)
+    expected = sorted({perm for rep in reps for perm in permutations(rep)},
+                      reverse=True)
+    expected.sort(key=sum, reverse=True)
+    degrees = [sum(rep) for rep in reps]
+    mixed = max(degrees, key=degrees.count)
+    assert degrees.count(mixed) == 2
+    assert sum(sum(g) == mixed for g in expected) > simplicial._BLOCK
+    assert symbolic_power(SimplicialSpec(8, 6), 4)._exps == tuple(expected)
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_representative_product_matches_ideal_product(n):
     # I^(a) * I^(b) against `*`, and I^r * I against the closed form of
