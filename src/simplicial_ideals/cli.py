@@ -5,6 +5,10 @@ explanation), ``containment`` and ``containment-sym`` (fast verdicts with
 optional brute-force cross checks), ``resurgence`` (exact value, witnesses,
 box sweep) and ``verify`` (the claim harness, imported by it alone).
 
+Each command's own parser is built the first time ``main`` runs that
+command and is kept for the rest of the process, so in-process callers pay
+for it once; the handler ``_cmd_<command>`` is looked up on every call.
+
 Exit codes: 0 success, 1 a verified claim failed, 2 usage error, 3 a
 resource budget was exceeded or memory ran out.
 """
@@ -145,7 +149,7 @@ def _cmd_containment_sym(args, budget):
     n, c, d, m, s = args.n, args.c, args.d, args.m, args.s
     # the sufficient condition never sees n: check c and d against it first
     _check_spec(n, c)
-    _check_spec(n, d)
+    _check_spec(n, d, "d")
     fast = symbolic_containment_sufficient(c, d, m, s)
     oracle = (symbolic_containment_oracle(n, c, d, m, s, max_candidates=budget)
               if args.oracle else None)
@@ -229,7 +233,6 @@ def _gens_args(p):
                        help="ordinary power I^R")
     which.add_argument("--symbolic", type=int, metavar="M",
                        help="symbolic power I^(M)")
-    p.set_defaults(handler=_cmd_gens)
 
 
 def _member_args(p):
@@ -238,7 +241,6 @@ def _member_args(p):
     which.add_argument("--power", type=int, metavar="R")
     which.add_argument("--symbolic", type=int, metavar="M")
     p.add_argument("monomial", help="e.g. 'x0^2*x1' or '1'")
-    p.set_defaults(handler=_cmd_member)
 
 
 def _containment_args(p):
@@ -247,7 +249,6 @@ def _containment_args(p):
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the generator sweep")
-    p.set_defaults(handler=_cmd_containment)
 
 
 def _containment_sym_args(p):
@@ -256,7 +257,6 @@ def _containment_sym_args(p):
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--oracle", action="store_true")
-    p.set_defaults(handler=_cmd_containment_sym)
 
 
 def _resurgence_args(p):
@@ -265,7 +265,6 @@ def _resurgence_args(p):
                    help="print witness pairs for k = 1..K")
     p.add_argument("--box", type=int, nargs=2, metavar=("M", "R"),
                    help="scan the m x r box for the empirical supremum")
-    p.set_defaults(handler=_cmd_resurgence)
 
 
 def _verify_args(p):
@@ -275,7 +274,6 @@ def _verify_args(p):
     p.add_argument("--deep", action="store_true", help="widen every sweep")
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock (breaks byte-identical output)")
-    p.set_defaults(handler=_cmd_verify)
 
 
 # subcommand -> (help line, function adding its arguments), in help order
@@ -296,6 +294,8 @@ def build_parser(command=None):
     ``command`` is None, the full parser with every subcommand.  The full
     parser names its subparser ``"sideal " + command`` too, so both print
     the same bytes; building one command costs a fraction of all six.
+    Neither parser names a handler: ``main`` finds ``_cmd_<command>`` when
+    it runs, so a one-command parser can be kept and reused.
     """
     if command is not None:
         parser = argparse.ArgumentParser(prog="sideal " + command)
@@ -311,17 +311,29 @@ def build_parser(command=None):
     return parser
 
 
+# command -> its one-command parser, each built the first time main runs it
+_PARSERS = {}
+
+
 def main(argv=None):
+    """Run ``sideal`` on ``argv`` and return the exit code.  Each command's
+    own parser is built once per process and kept; the full parser is built
+    anew each time it has a command line to report."""
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and argv[0] in COMMANDS else None
     if command is not None:
-        args, rest = build_parser(command).parse_known_args(argv[1:])
+        parser = _PARSERS.get(command)
+        if parser is None:
+            parser = _PARSERS[command] = build_parser(command)
+        args, rest = parser.parse_known_args(argv[1:])
     if command is None or rest:
         # no command, or words it does not take: the full parser reports it
         args = build_parser().parse_args(argv)
+        command = args.command
+    handler = globals()["_cmd_" + command.replace("-", "_")]
     try:
         budget = load_config(args.config, getattr(args, "max_candidates", None))
-        return args.handler(args, budget)
+        return handler(args, budget)
     except (ParameterError, MonomialParseError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -90,6 +90,7 @@ def symbolic_containment_oracle(n, c, d, m, s, max_candidates=None):
     so a noncontainment stops within the representatives.
     """
     src = SimplicialSpec(n, c)
+    _check_spec(n, d, "d")
     dst = SimplicialSpec(n, d)
     require_int("s", s, 1)
     _, scan = _symbolic_scan(src, m, max_candidates)

@@ -57,12 +57,13 @@ class SimplicialSpec:
         _check_spec(self.n, self.c)
 
 
-def _check_spec(n, c):
-    """SimplicialSpec's (n, c) rule, for callers that need no spec built."""
+def _check_spec(n, c, name="c"):
+    """SimplicialSpec's (n, c) rule, for callers that need no spec built;
+    ``name`` is what the caller calls c in its errors."""
     require_int("n", n, 1)
-    require_int("c", c)
+    require_int(name, c)
     if not 1 <= c <= n:
-        raise ParameterError(f"c={c} must satisfy 1 <= c <= n={n}")
+        raise ParameterError(f"{name}={c} must satisfy 1 <= {name} <= n={n}")
 
 
 @dataclass(frozen=True)

@@ -81,11 +81,17 @@ def grid():
     yield "verify all"
 
 
+def invocations():
+    """The table's argv column: each line of grid() in text, then in JSON."""
+    for line in grid():
+        yield line
+        yield f"{line} --format json"
+
+
 def main():
     if any(name.startswith("SIDEAL_") for name in os.environ):
         raise SystemExit("unset every SIDEAL_* variable first")
-    rows = [digest_row(argv.split())
-            for line in grid() for argv in (line, f"{line} --format json")]
+    rows = [digest_row(argv.split()) for argv in invocations()]
     TABLE.write_text("".join(row + "\n" for row in rows))
     print(f"{TABLE}: {len(rows)} rows")
 

@@ -244,7 +244,7 @@ def test_containment_sym_checks_both_codimensions(capsys):
     code, out, err = run_cli(capsys, "containment-sym", "--n", "2", "--c",
                              "1", "--d", "3", "--m", "1", "--s", "1")
     assert (code, out) == (2, "")
-    assert err == "error: c=3 must satisfy 1 <= c <= n=2\n"
+    assert err == "error: d=3 must satisfy 1 <= d <= n=2\n"
     code, out, err = run_cli(capsys, "containment-sym", "--n", "2", "--c",
                              "4", "--d", "3", "--m", "1", "--s", "1")
     assert (code, out) == (2, "")
@@ -420,6 +420,31 @@ def test_main_builds_only_the_chosen_subcommand(monkeypatch):
             run_quiet(*argv)
         assert built == list(COMMANDS)
         built.clear()
+
+
+def test_main_reuses_a_command_parser_and_finds_its_handler_per_call(
+        monkeypatch):
+    built = []
+
+    def counting(command=None):
+        built.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr("simplicial_ideals.cli.build_parser", counting)
+    monkeypatch.setattr("simplicial_ideals.cli._PARSERS", {})
+    member = ["member", "--n", "3", "--c", "2"]
+    for flags, expected in ((["--power", "2", "x0*x1"], "false"),
+                            (["--symbolic", "1", "x0*x1*x2"], "true"),
+                            (["--power", "1", "x0", "--format", "json"], "{"),
+                            (["--power", "1", "x0*x1*x2"], "true")):
+        code, out, _ = run_quiet(*member, *flags)
+        assert (code, out.split()[0]) == (0, expected)
+    assert built == ["member"]
+    # a handler replaced after its parser was kept is the one that runs
+    monkeypatch.setattr("simplicial_ideals.cli._cmd_member",
+                        lambda args, budget: print("patched", args.n) or 5)
+    assert run_quiet(*member, "--power", "1", "x0") == (5, "patched 3\n", "")
+    assert built == ["member"]
 
 
 def test_budget_flag_only_where_a_budget_is_read():

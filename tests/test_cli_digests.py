@@ -6,9 +6,13 @@ data/make_cli_digests.py, which names the grid."""
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import os
+import random
 from pathlib import Path
+
+import pytest
 
 from simplicial_ideals.cli import main
 
@@ -30,13 +34,41 @@ def digest_row(argv):
                       _sha256(err.getvalue())))
 
 
-def test_cli_output_matches_the_digest_table(monkeypatch):
+@pytest.fixture
+def rows(monkeypatch):
     # the budget and the config file come from the defaults alone
     for name in list(os.environ):
         if name.startswith("SIDEAL_"):
             monkeypatch.delenv(name)
     rows = TABLE.read_text().splitlines()
     assert len(rows) > 1000
+    return rows
+
+
+def _assert_replayed(rows):
     mismatched = [row for row in rows
                   if digest_row(row.split("\t", 1)[0].split(" ")) != row]
     assert not mismatched, f"{len(mismatched)} rows differ, first {mismatched[0]}"
+
+
+def test_cli_output_matches_the_digest_table(rows):
+    _assert_replayed(rows)
+
+
+def test_cli_output_matches_in_a_shuffled_replay(rows):
+    # main keeps each command's parser between calls: a second replay in
+    # this process, in another order, shows any state one call leaves for
+    # the next
+    random.Random(20261020).shuffle(rows)
+    _assert_replayed(rows)
+
+
+def test_digest_table_lists_the_generator_grid():
+    # a row deleted or edited by hand would still replay; the table must
+    # hold exactly what the generator writes, in its order
+    path = TABLE.parent / "make_cli_digests.py"
+    spec = importlib.util.spec_from_file_location("make_cli_digests", path)
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    argvs = [row.split("\t", 1)[0] for row in TABLE.read_text().splitlines()]
+    assert argvs == list(generator.invocations())

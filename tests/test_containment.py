@@ -463,7 +463,7 @@ def test_oracles_check_arguments_before_the_budget():
             (lambda: containment_oracle(2, 2, 1, 1, -1),
              "^max_candidates=-1 must be >= 0$"),
             (lambda: symbolic_containment_oracle(2, 2, 3, 0, 0, -1),
-             "^c=3 must satisfy"),
+             "^d=3 must satisfy 1 <= d <= n=2$"),
             (lambda: symbolic_containment_oracle(2, 2, 2, 0, 0, -1),
              "^s=0 must be >= 1$"),
             (lambda: symbolic_containment_oracle(2, 2, 2, 0, 1, -1),
