@@ -58,24 +58,22 @@ def parse_config_file(path):
     return budget
 
 
-def load_config(config_path=None, max_candidates=None, environ=None):
+def load_config(config_path=None, max_candidates=None):
     """The resolved budget, an int >= 1.
 
     ``max_candidates`` is the flag's value, checked as a file value is;
     None means unset.  The file is read and every SIDEAL_* variable
     checked whichever source wins: any SIDEAL_* variable but
     SIDEAL_MAX_CANDIDATES and SIDEAL_CONFIG is an error, as an unknown key
-    in a file is.
+    in a file is.  The variables are read from os.environ.
     """
-    if environ is None:
-        environ = os.environ
-    path = config_path or environ.get(_ENV_CONFIG)
+    path = config_path or os.environ.get(_ENV_CONFIG)
     budget = parse_config_file(path) if path else None
     # iterate names only: os.environ decodes each value it yields
-    for name in environ:
+    for name in os.environ:
         if name.startswith(ENV_PREFIX):
             if name == _ENV_BUDGET:
-                budget = _coerce(environ[name])
+                budget = _coerce(os.environ[name])
             elif name != _ENV_CONFIG:
                 raise ParameterError(f"unknown environment variable {name}")
     if max_candidates is not None:

@@ -206,23 +206,24 @@ def resurgence_report(n, c, witness_count=0, box=None, max_candidates=None):
     is one pass over at most M values of m and each witness is one pair;
     both counts are checked against ``max_candidates`` (see budget_limit)
     before anything is computed, and the budget is passed on to the sweep.
-    The messages name these parameters: the box is checked first, as
-    ``box M`` and ``box R``, then witness_count.
+    The arguments are checked before either count, as every entry point
+    checks them: (n, c), then the box, as ``box M`` and ``box R``, then
+    witness_count, then max_candidates; then the box count, then the
+    witness count.
     """
-    limit = budget_limit(max_candidates)
+    rho = resurgence(n, c)  # checks (n, c), before anything else
     if box is not None:
         if not isinstance(box, (tuple, list)) or len(box) != 2:
             raise ParameterError(f"box={box!r} must be a pair (M, R)")
         require_int("box M", box[0], 1)
         require_int("box R", box[1], 1)
-        if box[0] > limit:
-            raise budget_error(f"box M={box[0]} sweeps {box[0]} values of m",
-                               limit)
     require_int("witness_count", witness_count, 0)
+    limit = budget_limit(max_candidates)
+    if box is not None and box[0] > limit:
+        raise budget_error(f"box M={box[0]} sweeps {box[0]} values of m", limit)
     if witness_count > limit:
         raise budget_error(f"witness_count={witness_count} lists "
                            f"{witness_count} pairs", limit)
-    rho = resurgence(n, c)
     witnesses = []
     for k in range(1, witness_count + 1):
         m, r = _witness(n, c, k)

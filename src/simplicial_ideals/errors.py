@@ -6,6 +6,9 @@ dimension and parse problems exit 2, exceeded budgets exit 3.
 Every public integer parameter passes ``require_int``, which refuses, not
 converts, a value whose type is not exactly int (a bool, a float, a string, a
 NumPy integer); every ``max_candidates`` budget passes ``budget_limit``.
+A count checked against a budget, the size of a coordinate orbit, is
+``_orbit_size``, cut short once it passes the budget: the enumerator and the
+face-prime oracle both count with it, and neither imports the other.
 """
 
 #: The default of every ``max_candidates`` budget: n <= 6, m <= 12 runs
@@ -56,3 +59,17 @@ def budget_limit(max_candidates):
         return DEFAULT_MAX_CANDIDATES
     require_int("max_candidates", max_candidates, 0)
     return max_candidates
+
+
+def _orbit_size(mults, limit):
+    """Number of distinct permutations, len! / prod(mult!), of a tuple whose
+    distinct entries occur ``mults`` times, one binomial factor at a time;
+    past ``limit``, the first partial product past it, a lower bound."""
+    size, placed = 1, 0
+    for mult in mults:
+        placed += mult
+        for i in range(1, min(mult, placed - mult) + 1):
+            if size > limit:
+                return size
+            size = size * (placed - i + 1) // i
+    return size

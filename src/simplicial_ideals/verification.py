@@ -31,6 +31,7 @@ from .containment import (
     symbolic_containment_sufficient,
 )
 from .errors import ParameterError
+from .faceprime import symbolic_power_oracle
 from .ideals import MonomialIdeal
 from .simplicial import (
     SimplicialSpec,
@@ -41,7 +42,6 @@ from .simplicial import (
     _symbolic_test,
     simplicial_ideal,
     symbolic_power,
-    symbolic_power_oracle,
 )
 
 

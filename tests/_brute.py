@@ -1,48 +1,50 @@
 """Deliberately naive reference implementations used only as test oracles.
 
 Everything here enumerates instead of using closed forms, so agreement with
-the package's fast paths is meaningful evidence.
+the package's fast paths is meaningful evidence.  Every helper takes and
+returns plain exponent tuples and imports nothing from simplicial_ideals, so
+no library helper (the antichain reduction, the membership tests) can hide
+a bug that this route shares; the callers build any library object
+themselves, and tests/test_routes.py checks the imports.
 """
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from operator import le
 
-from simplicial_ideals import Monomial, MonomialIdeal
 
-
-def brute_symbolic_member(n, c, m, mono):
+def brute_symbolic_member(n, c, m, exps):
     """Check every c-subset of coordinates, no sorting shortcut."""
-    return all(sum(mono.exps[i] for i in sub) >= m
+    return all(sum(exps[i] for i in sub) >= m
                for sub in combinations(range(n + 1), c))
 
 
-def brute_symbolic_binding(n, c, mono):
+def brute_symbolic_binding(n, c, exps):
     """The first c-subset in lexicographic order with the least exponent sum,
     and that sum, found by scanning every c-subset."""
     best = None
     for sub in combinations(range(n + 1), c):
-        total = sum(mono.exps[i] for i in sub)
+        total = sum(exps[i] for i in sub)
         if best is None or total < best[1]:
             best = (list(sub), total)
     return best
 
 
-def brute_capped_degree(r, mono):
+def brute_capped_degree(r, exps):
     """Sum over the coordinates of min(a_i, r), by an explicit loop."""
     total = 0
-    for e in mono.exps:
+    for e in exps:
         total += e if e < r else r
     return total
 
 
-def _minimalize(monos):
-    """The minimal monomials among ``monos``, ascending in degree then
-    exponents, by comparing each with every one kept before it."""
+def _minimalize(vectors):
+    """The minimal exponent tuples among ``vectors``, ascending in degree
+    then exponents, by comparing each with every one kept before it."""
     kept = []
-    for mono in sorted(monos, key=lambda x: (x.degree, x.exps)):
-        if not any(all(map(le, other.exps, mono.exps)) for other in kept):
-            kept.append(mono)
+    for vec in sorted(vectors, key=lambda v: (sum(v), v)):
+        if not any(all(map(le, other, vec)) for other in kept):
+            kept.append(vec)
     return kept
 
 
@@ -54,7 +56,7 @@ def brute_symbolic_gens(n, c, m):
     any subset containing it), and the capped vector divides the original, so
     no minimal generator has an entry above m.
     """
-    members = [Monomial(vec) for vec in product(range(m + 1), repeat=n + 1)
+    members = [vec for vec in product(range(m + 1), repeat=n + 1)
                if all(sum(vec[i] for i in sub) >= m
                       for sub in combinations(range(n + 1), c))]
     return _minimalize(members)
@@ -90,36 +92,26 @@ def brute_symbolic_representatives(n, c, m):
 
 
 def brute_skeleton_gens(n, c):
-    """Squarefree monomials of degree n-c+2, straight from the definition."""
+    """Exponent tuples of the squarefree monomials of degree n-c+2, straight
+    from the definition."""
     gens = []
     for sub in combinations(range(n + 1), n - c + 2):
         vec = [0] * (n + 1)
         for i in sub:
             vec[i] = 1
-        gens.append(Monomial(vec))
+        gens.append(tuple(vec))
     return gens
 
 
-def face_prime_ideal(prime):
-    """The face prime <x_i : i in prime.variables>, one variable per
-    generator, canonicalized by the general constructor."""
+def brute_face_prime_power(n, variables, m):
+    """Exponent tuples of the degree-m monomials in ``variables``, the
+    vanishing variables of a face prime of the ring x_0..x_n: every vector
+    over them with entries in [0, m], kept when its entries sum to m."""
     gens = []
-    for i in prime.variables:
-        vec = [0] * (prime.n + 1)
-        vec[i] = 1
-        gens.append(Monomial(vec))
-    return MonomialIdeal(prime.n, gens)
-
-
-def brute_face_prime_power(prime, m):
-    """Exponent tuples of the degree-m monomials in the variables of the
-    face prime: every vector over them with entries in [0, m], kept when
-    its entries sum to m."""
-    gens = []
-    for vals in product(range(m + 1), repeat=len(prime.variables)):
+    for vals in product(range(m + 1), repeat=len(variables)):
         if sum(vals) == m:
-            vec = [0] * (prime.n + 1)
-            for i, e in zip(prime.variables, vals):
+            vec = [0] * (n + 1)
+            for i, e in zip(variables, vals):
                 vec[i] = e
             gens.append(tuple(vec))
     return gens
@@ -127,17 +119,17 @@ def brute_face_prime_power(prime, m):
 
 def brute_power_gens(n, c, r):
     """Minimal generators of I(n,c)^r by expanding all r-fold products."""
-    base = [g.exps for g in brute_skeleton_gens(n, c)]
+    base = brute_skeleton_gens(n, c)
     prods = {tuple(map(sum, zip(*combo)))
              for combo in combinations_with_replacement(base, r)}
-    return _minimalize(map(Monomial, prods))
+    return _minimalize(prods)
 
 
-def brute_ordinary_member(n, c, r, mono, gens=None):
+def brute_ordinary_member(n, c, r, exps, gens=None):
     """Divisibility against the expanded generating set of I(n,c)^r."""
     if gens is None:
         gens = brute_power_gens(n, c, r)
-    return any(all(map(le, g.exps, mono.exps)) for g in gens)
+    return any(all(map(le, g, exps)) for g in gens)
 
 
 def brute_resurgence_sup(n, c, max_m, max_r, contained):

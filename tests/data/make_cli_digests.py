@@ -37,6 +37,9 @@ ERRORS = [
     "member --n 3 --c 2 --symbolic 1 x0^", "containment --n 3 --c 2 --m 0 --r 1",
     "containment-sym --n 3 --c 2 --d 4 --m 1 --s 1",
     "resurgence --n 0 --c 1",
+    # a bad (n, c) is reported before any count is checked against the budget
+    "resurgence --n 2 --c 5 --witnesses 100000000",
+    "resurgence --n 2 --c 5 --box 1000000000 1",
 ]
 
 

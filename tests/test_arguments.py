@@ -93,10 +93,11 @@ INT_PARAMETERS = {
     "resurgence_report box R":
         lambda x: si.resurgence_report(2, 2, box=(5, x)),
     "load_config max_candidates":
-        lambda x: config.load_config(environ={}, max_candidates=x),
+        lambda x: config.load_config(max_candidates=x),
 }
 
 
+@pytest.mark.usefixtures("no_sideal_variables")
 @pytest.mark.parametrize("call", INT_PARAMETERS.values(), ids=INT_PARAMETERS)
 def test_integer_parameters_take_only_ints(call):
     call(2)
@@ -105,6 +106,7 @@ def test_integer_parameters_take_only_ints(call):
         call(IndexOnly(2))
 
 
+@pytest.mark.usefixtures("no_sideal_variables")
 @pytest.mark.parametrize("call", INT_PARAMETERS.values(), ids=INT_PARAMETERS)
 def test_numpy_integers_are_refused_not_converted(call):
     np = pytest.importorskip("numpy")

@@ -102,10 +102,10 @@ def _brute_listing(n, c, kind, exponent):
     else:
         # the full box scan is too slow here: permute the representatives
         # that the weakly decreasing scan finds
-        gens = [Monomial(perm)
+        gens = [perm
                 for rep in brute_symbolic_representatives(n, c, exponent)
                 for perm in set(permutations(rep))]
-    return MonomialIdeal(n, gens)
+    return MonomialIdeal(n, map(Monomial, gens))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -195,13 +195,13 @@ def test_member_json_detail_matches_brute(n, data):
     query = ["member", "--n", str(n), "--c", str(c), str(mono),
              "--format", "json"]
 
-    subset, subset_sum = brute_symbolic_binding(n, c, mono)
+    subset, subset_sum = brute_symbolic_binding(n, c, mono.exps)
     payload = run_json(*query, "--symbolic", str(exponent))
     assert payload["detail"] == {"subset": subset, "subset_sum": subset_sum,
                                  "required": exponent}
     assert payload["member"] is (subset_sum >= exponent)
 
-    capped = brute_capped_degree(exponent, mono)
+    capped = brute_capped_degree(exponent, mono.exps)
     required = (n - c + 2) * exponent
     payload = run_json(*query, "--power", str(exponent))
     assert payload["detail"] == {"capped_degree": capped, "required": required}
@@ -744,7 +744,8 @@ def test_only_verify_loads_the_harness():
     assert proc.returncode == 0, proc.stderr
     root, query, verify = json.loads(proc.stderr)
     assert root == [f"simplicial_ideals.{name}" for name in (
-        "containment", "errors", "ideals", "monomials", "simplicial")]
+        "containment", "errors", "faceprime", "ideals", "monomials",
+        "simplicial")]
     assert (query, verify) == (False, True)
 
 

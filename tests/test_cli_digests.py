@@ -8,7 +8,6 @@ import contextlib
 import hashlib
 import importlib.util
 import io
-import os
 import random
 from pathlib import Path
 
@@ -35,11 +34,8 @@ def digest_row(argv):
 
 
 @pytest.fixture
-def rows(monkeypatch):
+def rows(no_sideal_variables):
     # the budget and the config file come from the defaults alone
-    for name in list(os.environ):
-        if name.startswith("SIDEAL_"):
-            monkeypatch.delenv(name)
     rows = TABLE.read_text().splitlines()
     assert len(rows) > 1000
     return rows

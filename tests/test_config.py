@@ -5,14 +5,18 @@ from simplicial_ideals.cli import main
 from simplicial_ideals.config import load_config, parse_config_file
 from simplicial_ideals.errors import DEFAULT_MAX_CANDIDATES
 
+# load_config reads os.environ: every test starts with no SIDEAL_* variable
+# and sets its own
+pytestmark = pytest.mark.usefixtures("no_sideal_variables")
+
 
 def test_defaults(tmp_path):
-    assert load_config(environ={}) == DEFAULT_MAX_CANDIDATES
+    assert load_config() == DEFAULT_MAX_CANDIDATES
     # a file that sets nothing leaves the default
     path = tmp_path / "empty.conf"
     path.write_text("# nothing here\n\n")
     assert parse_config_file(path) is None
-    assert load_config(config_path=str(path), environ={}) == DEFAULT_MAX_CANDIDATES
+    assert load_config(config_path=str(path)) == DEFAULT_MAX_CANDIDATES
 
 
 def test_config_file(tmp_path):
@@ -22,7 +26,7 @@ def test_config_file(tmp_path):
         "max_candidates = 1000   # trailing comment\n"
         "\n")
     assert parse_config_file(path) == 1000
-    assert load_config(config_path=str(path), environ={}) == 1000
+    assert load_config(config_path=str(path)) == 1000
 
 
 def test_config_file_errors(tmp_path, capsys):
@@ -56,43 +60,49 @@ def test_config_file_errors(tmp_path, capsys):
     assert captured.err == f"error: {path}:2: max_candidates=0 must be >= 1\n"
 
 
-def test_env_variables(tmp_path):
-    environ = {"SIDEAL_MAX_CANDIDATES": "6", "OTHER_ORACLE_N_CAP": "6"}
-    assert load_config(environ=environ) == 6
+def test_env_variables(tmp_path, monkeypatch):
+    monkeypatch.setenv("SIDEAL_MAX_CANDIDATES", "6")
+    monkeypatch.setenv("OTHER_ORACLE_N_CAP", "6")
+    assert load_config() == 6
+    monkeypatch.setenv("SIDEAL_MAX_CANDIDATES", "lots")
     with pytest.raises(ParameterError, match="expected integer, got 'lots'"):
-        load_config(environ={"SIDEAL_MAX_CANDIDATES": "lots"})
+        load_config()
+    monkeypatch.delenv("SIDEAL_MAX_CANDIDATES")
     # an unknown SIDEAL_* variable is an error, as an unknown file key is;
     # format and deep are flags only
     for name in ("SIDEAL_ORACLE_N_CAP", "SIDEAL_MAX_INTERSECTION_GENS",
                  "SIDEAL_max_candidates", "SIDEAL_", "SIDEAL_FORMAT",
                  "SIDEAL_DEEP"):
+        monkeypatch.setenv(name, "6")
         with pytest.raises(ParameterError, match=name):
-            load_config(environ={name: "6"})
+            load_config()
+        monkeypatch.delenv(name)
     path = tmp_path / "sideal.conf"
     path.write_text("max_candidates = 8\n")
-    assert load_config(environ={"SIDEAL_CONFIG": str(path)}) == 8
+    monkeypatch.setenv("SIDEAL_CONFIG", str(path))
+    assert load_config() == 8
 
 
-def test_precedence_flags_env_file(tmp_path):
+def test_precedence_flags_env_file(tmp_path, monkeypatch):
     path = tmp_path / "sideal.conf"
     path.write_text("max_candidates = 7\n")
-    environ = {"SIDEAL_CONFIG": str(path)}
+    monkeypatch.setenv("SIDEAL_CONFIG", str(path))
     # file applies when only SIDEAL_CONFIG points at it
-    assert load_config(environ=environ) == 7
+    assert load_config() == 7
     # env beats file
-    environ["SIDEAL_MAX_CANDIDATES"] = "8"
-    assert load_config(environ=environ) == 8
+    monkeypatch.setenv("SIDEAL_MAX_CANDIDATES", "8")
+    assert load_config() == 8
     # flags beat env
-    assert load_config(environ=environ, max_candidates=9) == 9
+    assert load_config(max_candidates=9) == 9
     # explicit path beats SIDEAL_CONFIG
     other = tmp_path / "other.conf"
     other.write_text("max_candidates = 10\n")
-    del environ["SIDEAL_MAX_CANDIDATES"]
-    assert load_config(config_path=str(other), environ=environ) == 10
+    monkeypatch.delenv("SIDEAL_MAX_CANDIDATES")
+    assert load_config(config_path=str(other)) == 10
     # every source is checked, whichever one wins
     path.write_text("max_candidates = 0\n")
     with pytest.raises(ParameterError, match=":1: max_candidates=0"):
-        load_config(environ=environ, max_candidates=9)
+        load_config(max_candidates=9)
 
 
 def test_override_validation():
@@ -103,7 +113,7 @@ def test_override_validation():
                          (2.7, "=2.7 must be an integer, not float$"),
                          (True, "=True must be an integer, not a bool$")):
         with pytest.raises(ParameterError, match="^max_candidates" + message):
-            load_config(environ={}, max_candidates=bad)
+            load_config(max_candidates=bad)
 
 
 @pytest.mark.parametrize("name", ["SIDEAL_FORMAT", "SIDEAL_DEEP"])

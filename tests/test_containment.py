@@ -78,7 +78,8 @@ def test_oracle_against_independent_generators():
             for m in range(1, 4):
                 gens = brute_symbolic_gens(n, c, m)
                 for r in range(1, 4):
-                    expected = all(ordinary_member(spec, r, g) for g in gens)
+                    expected = all(ordinary_member(spec, r, Monomial(g))
+                                   for g in gens)
                     assert containment_criterion(n, c, m, r) == expected
 
 
@@ -354,8 +355,8 @@ def test_resurgence_report_budget():
     with pytest.raises(ParameterError,
                        match="^witness_count=-1 must be >= 0$"):
         resurgence_report(2, 2, witness_count=-1)
-    # the counts are checked first, before (n, c)
-    with pytest.raises(BudgetExceededError):
+    # (n, c) is checked first, before the counts
+    with pytest.raises(ParameterError, match="^c=5 must satisfy"):
         resurgence_report(2, 5, witness_count=11, max_candidates=10)
     at_budget = resurgence_report(2, 2, witness_count=10, box=(10, 10),
                                   max_candidates=10)
@@ -469,11 +470,27 @@ def test_oracles_check_arguments_before_the_budget():
             (lambda: symbolic_containment_oracle(2, 2, 2, 0, 1, -1),
              "^m=0 must be >= 1$"),
             (lambda: symbolic_containment_oracle(2, 2, 2, 1, 1, -1),
+             "^max_candidates=-1 must be >= 0$"),
+            # the report: the ring, the box, witness_count, then the budget
+            (lambda: resurgence_report(2, 5, max_candidates=-1),
+             r"^c=5 must satisfy 1 <= c <= n=2$"),
+            (lambda: resurgence_report(2, 5, witness_count=10**8),
+             r"^c=5 must satisfy 1 <= c <= n=2$"),
+            (lambda: resurgence_report(2, 5, box=(10**9, 1)),
+             r"^c=5 must satisfy 1 <= c <= n=2$"),
+            (lambda: resurgence_report(2, 2, -1, (0, 1), -1),
+             "^box M=0 must be >= 1$"),
+            (lambda: resurgence_report(2, 2, -1, (10**9, 1)),
+             "^witness_count=-1 must be >= 0$"),
+            (lambda: resurgence_report(2, 2, 10**8, (10**9, 1), -1),
              "^max_candidates=-1 must be >= 0$")):
         with pytest.raises(ParameterError, match=message):
             call()
     with pytest.raises(BudgetExceededError):
         containment_oracle(2, 2, 3, 1, max_candidates=0)
+    # the box is counted before the witnesses
+    with pytest.raises(BudgetExceededError, match="^box M=1000000000 sweeps"):
+        resurgence_report(2, 2, 10**8, (10**9, 1))
 
 
 # the functions that check (n, c) without building a SimplicialSpec, each

@@ -19,13 +19,13 @@ from _brute import (
     brute_symbolic_gens,
     brute_symbolic_member,
     brute_symbolic_representatives,
-    face_prime_ideal,
 )
 from simplicial_ideals import (
     BudgetExceededError,
     DimensionError,
     FacePrime,
     Monomial,
+    MonomialIdeal,
     ParameterError,
     SimplicialSpec,
     containment_oracle,
@@ -37,10 +37,10 @@ from simplicial_ideals import (
     symbolic_power,
     symbolic_power_oracle,
 )
-from simplicial_ideals import simplicial
+from simplicial_ideals import faceprime, simplicial
 from simplicial_ideals.errors import budget_limit
+from simplicial_ideals.faceprime import _face_prime_step
 from simplicial_ideals.simplicial import (
-    _face_prime_step,
     _ordinary_representatives,
     _ordinary_test,
     _partitions,
@@ -59,6 +59,17 @@ ALL_SPECS_3 = [(n, c) for n in range(1, 4) for c in range(1, n + 1)]
 def _face_primes(n, c):
     """The face primes of I(n, c): one per c-subset of the variables."""
     return [FacePrime(n, s) for s in combinations(range(n + 1), c)]
+
+
+def face_prime_ideal(prime):
+    """The face prime <x_i : i in prime.variables>, one variable per
+    generator, canonicalized by the general constructor."""
+    gens = []
+    for i in prime.variables:
+        vec = [0] * (prime.n + 1)
+        vec[i] = 1
+        gens.append(Monomial(vec))
+    return MonomialIdeal(prime.n, gens)
 
 
 def M(text, n):
@@ -102,7 +113,7 @@ def test_generator_count_and_shape(n, c):
     deg = n - c + 2
     assert len(ideal.gens) == comb(n + 1, deg)
     assert all(g.degree == deg and max(g.exps) == 1 for g in ideal.gens)
-    assert set(ideal.gens) == set(brute_skeleton_gens(n, c))
+    assert {g.exps for g in ideal.gens} == set(brute_skeleton_gens(n, c))
 
 
 @pytest.mark.parametrize("n,c", ALL_SPECS_3)
@@ -132,7 +143,8 @@ def test_face_prime_power():
     for prime in primes:
         for m in range(1, 5):
             got = [g.exps for g in prime.power_ideal(m).gens]
-            assert got == sorted(brute_face_prime_power(prime, m),
+            assert got == sorted(brute_face_prime_power(prime.n,
+                                                        prime.variables, m),
                                  reverse=True), (prime, m)
 
 
@@ -188,7 +200,7 @@ def test_symbolic_member_matches_subset_check(n, data):
                               max_size=n + 1))
     spec = SimplicialSpec(n, c)
     mono = Monomial(exps)
-    expected = brute_symbolic_member(n, c, m, mono)
+    expected = brute_symbolic_member(n, c, m, mono.exps)
     assert symbolic_member(spec, m, mono) == expected
 
 
@@ -197,7 +209,8 @@ def test_symbolic_member_matches_subset_check(n, data):
 def test_symbolic_power_matches_brute_force(n, c, m):
     # the exact canonical order too: descending under Monomial.__lt__
     got = symbolic_power(SimplicialSpec(n, c), m)
-    assert got.gens == tuple(sorted(brute_symbolic_gens(n, c, m), reverse=True))
+    assert got.gens == tuple(sorted(map(Monomial, brute_symbolic_gens(n, c, m)),
+                                    reverse=True))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -292,7 +305,7 @@ def test_representative_product_matches_ideal_product(n):
 
 def test_symbolic_power_matches_brute_force_p4():
     got = symbolic_power(SimplicialSpec(4, 2), 2)
-    assert set(got.gens) == set(brute_symbolic_gens(4, 2, 2))
+    assert {g.exps for g in got.gens} == set(brute_symbolic_gens(4, 2, 2))
 
 
 @pytest.mark.parametrize("n,c", ALL_SPECS_3)
@@ -333,7 +346,7 @@ def test_ordinary_power_closed_form(n, c, r):
     spec = SimplicialSpec(n, c)
     closed = ordinary_power_min_gens(spec, r)
     assert closed == simplicial_ideal(spec) ** r
-    assert set(closed.gens) == set(brute_power_gens(n, c, r))
+    assert {g.exps for g in closed.gens} == set(brute_power_gens(n, c, r))
     deg = (n - c + 2) * r
     assert all(g.degree == deg and max(g.exps) <= r for g in closed.gens)
 
@@ -348,7 +361,7 @@ def test_ordinary_member_matches_divisibility():
                 mono = Monomial([rng.randrange(0, 2 * r + 2)
                                  for _ in range(n + 1)])
                 assert ordinary_member(spec, r, mono) == \
-                    brute_ordinary_member(n, c, r, mono, gens)
+                    brute_ordinary_member(n, c, r, mono.exps, gens)
 
 
 def test_ordinary_test_reuses_its_memo():
@@ -373,7 +386,7 @@ def test_ordinary_test_reuses_its_memo():
             mono = Monomial(exps)
             for r, (test, gens) in tests.items():
                 assert test(mono.exps) == \
-                    brute_ordinary_member(n, c, r, mono, gens), (n, c, r, exps)
+                    brute_ordinary_member(n, c, r, exps, gens), (n, c, r, exps)
         # r = 10**9: the memo holds the values seen, not a table up to r,
         # and I^r is too large to expand, so the verdict is checked against
         # the capped degree summed by an explicit loop
@@ -383,7 +396,7 @@ def test_ordinary_test_reuses_its_memo():
             mono = Monomial([rng.choice((0, 1, 2, big - 1, big, 2 * big,
                                          3 * big)) for _ in range(n + 1)])
             assert test(mono.exps) == \
-                (brute_capped_degree(big, mono) >= (n - c + 2) * big), \
+                (brute_capped_degree(big, mono.exps) >= (n - c + 2) * big), \
                 (n, c, mono.exps)
         assert time.perf_counter() - start < 1
 
@@ -500,7 +513,7 @@ def test_oracle_counts_each_step_before_lifting(monkeypatch):
     # a budget of 20, but the step at (0, 2) lifts the 6 generators of
     # P_(0,1)^5 into 21 candidates; it raises before building any of them
     spec = SimplicialSpec(2, 2)
-    real = simplicial._face_prime_step
+    real = faceprime._face_prime_step
     built = []
 
     def record(gens, deficits, subset, compositions):
@@ -511,7 +524,7 @@ def test_oracle_counts_each_step_before_lifting(monkeypatch):
                          for k in deficits))
         return result
 
-    monkeypatch.setattr(simplicial, "_face_prime_step", record)
+    monkeypatch.setattr(faceprime, "_face_prime_step", record)
     with pytest.raises(BudgetExceededError,
                        match=r"^the face-prime step \(0, 2\) of "
                              r"I\^\(5\)\(2,2\) forms 21 candidates, "
@@ -532,16 +545,15 @@ def test_face_prime_step_keeps_exactly_the_minimal_lifts(n, data):
     # generators with those of P_S^m, for every c-subset S and m <= 4
     vectors = data.draw(st.lists(
         st.tuples(*[st.integers(0, 5)] * (n + 1)), min_size=1, max_size=8))
-    gens = [g.exps for g in _minimalize(map(Monomial, vectors))]
+    gens = _minimalize(vectors)
     for c in range(1, n + 1):
         for subset in combinations(range(n + 1), c):
             for m in range(1, 5):
                 deficits = [m - sum(g[i] for i in subset) for g in gens]
                 got = _face_prime_step(gens, deficits, subset, {})
-                power = brute_face_prime_power(FacePrime(n, subset), m)
-                lcms = {Monomial(tuple(map(max, g, p)))
-                        for g in gens for p in power}
-                expected = {x.exps for x in _minimalize(lcms)}
+                power = brute_face_prime_power(n, subset, m)
+                lcms = {tuple(map(max, g, p)) for g in gens for p in power}
+                expected = set(_minimalize(lcms))
                 assert len(got) == len(expected), (gens, subset, m)
                 assert set(got) == expected, (gens, subset, m)
 
