@@ -32,13 +32,14 @@ def _coerce(raw):
 
 def parse_config_file(path):
     """The budget a file of ``key = value`` lines sets, or None if it sets
-    none.  Unknown keys and bad values are errors that name the file and
-    line."""
+    none.  The file is read as UTF-8 whatever the locale; one that cannot
+    be read or decoded is an error that names it, and unknown keys and bad
+    values are errors that name the file and line."""
     budget = None
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read config file {path}: {exc}")
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()

@@ -66,7 +66,7 @@ def containment_oracle(n, c, m, r, max_candidates=None):
     a failing representative, and a containment tests every generator."""
     spec = SimplicialSpec(n, c)
     require_int("r", r, 1)
-    _, scan = _symbolic_scan(spec, m, max_candidates)
+    scan = _symbolic_scan(spec, m, max_candidates)
     return all(map(_ordinary_test(spec, r), scan))
 
 
@@ -93,7 +93,7 @@ def symbolic_containment_oracle(n, c, d, m, s, max_candidates=None):
     _check_spec(n, d, "d")
     dst = SimplicialSpec(n, d)
     require_int("s", s, 1)
-    _, scan = _symbolic_scan(src, m, max_candidates)
+    scan = _symbolic_scan(src, m, max_candidates)
     return all(map(_symbolic_test(dst, s), scan))
 
 

@@ -13,10 +13,10 @@ agree.
 
 So that a bug cannot hide in a helper the two routes share, this module
 imports from the package only ``errors`` (the argument rule and the budget
-count) and ``ideals`` (the ideal type and its divisibility rows), never
-from ``simplicial``, whose code uses nothing from here either: it binds
-``FacePrime`` and ``symbolic_power_oracle`` only so that the package root
-finds them there.  tests/test_routes.py checks both.
+count) and ``ideals`` (the ideal type, its divisibility rows and its
+canonical order), never from ``simplicial``, whose code uses nothing from
+here either: it binds ``FacePrime`` and ``symbolic_power_oracle`` only so
+that the package root finds them there.  tests/test_routes.py checks both.
 """
 
 from dataclasses import dataclass
@@ -24,7 +24,7 @@ from itertools import chain, combinations
 from math import comb
 
 from .errors import ParameterError, _orbit_size, budget_error, budget_limit, require_int
-from .ideals import MonomialIdeal, _le_masks
+from .ideals import MonomialIdeal, _canonical, _le_masks
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,8 @@ class FacePrime:
             for var, e in zip(self.variables, b):
                 exps[var] = e
             gens.append(tuple(exps))
-        # one degree, so an antichain, and lex order is canonical
-        return MonomialIdeal._from_canonical(self.n, sorted(gens, reverse=True))
+        # one degree, so an antichain
+        return MonomialIdeal._from_canonical(self.n, _canonical(gens))
 
 
 def _compositions(k, c):
@@ -98,8 +98,9 @@ def symbolic_power_oracle(spec, m, max_candidates=None):
     in G divides it.
 
     So no step reduces its candidates: the lifts are deduplicated (two g
-    may share one) and the generators are sorted once, at the end.  A lift
-    g + b never equals a kept g': then g < g', against G an antichain.
+    may share one) and the generators are put in canonical order once, at
+    the end (ideals._canonical).  A lift g + b never equals a kept g':
+    then g < g', against G an antichain.
 
     The binomial(n+1, c) * binomial(m+c-1, c-1) generators of the
     face-prime powers, which bound the steps, are counted against
@@ -127,10 +128,7 @@ def symbolic_power_oracle(spec, m, max_candidates=None):
                                f"I^({m})({n},{c}) forms {count} candidates",
                                limit)
         gens = _face_prime_step(gens, deficits, subset, compositions)
-    # descending graded-lex: lex first, then a stable sort by degree
-    gens.sort(reverse=True)
-    gens.sort(key=sum, reverse=True)
-    return MonomialIdeal._from_canonical(n, gens)
+    return MonomialIdeal._from_canonical(n, _canonical(gens))
 
 
 def _face_prime_step(gens, deficits, subset, compositions):
@@ -140,14 +138,14 @@ def _face_prime_step(gens, deficits, subset, compositions):
     ``compositions`` maps each deficit to its _compositions and is filled
     on demand, so a call forms each deficit's compositions once.
 
-    Tuple k of ``gens`` owns bit k of one _le_masks index.  For each lifted
-    g, the witness mask holds the h of G with h <= g outside S and h_j < g_j
-    for some j outside S, which is the lemma's test with the entries over
-    S left out: h <= a - e_j needs h <= g off S, and h_j <= g_j - 1 at j.
-    A lift a = g + b is then kept iff the witness mask, ANDed with the rows
-    of S at a's entries, is empty: c ANDs per lift, none when no h
-    qualifies.  The index's ``top`` bounds every entry of G and of the
-    lifts, and _le_masks picks the row kind from it.
+    Tuple k of ``gens`` owns bit k of one set of _le_masks rows.  For each
+    lifted g, the witness mask holds the h of G with h <= g outside S and
+    h_j < g_j for some j outside S, which is the lemma's test with the
+    entries over S left out: h <= a - e_j needs h <= g off S, and
+    h_j <= g_j - 1 at j.  A lift a = g + b is then kept iff the witness
+    mask, ANDed with the rows of S at a's entries, is empty: c ANDs per
+    lift, none when no h qualifies.  The rows' ``top`` bounds every entry
+    of G and of the lifts, and _le_masks picks the row kind from it.
     """
     c = len(subset)
     top = max(chain.from_iterable(gens)) + max(0, *deficits)

@@ -2,9 +2,9 @@
 
 A monomial ideal is represented by the unique antichain (under divisibility)
 of its minimal monomial generators, stored sorted in descending graded-lex
-order so that equal ideals always serialize identically.  The empty generator
-set is the zero ideal; the set {1} is the unit ideal.  All operations return
-new canonical ideals.
+order, which ``_canonical`` alone writes, so that equal ideals always
+serialize identically.  The empty generator set is the zero ideal; the set
+{1} is the unit ideal.  All operations return new canonical ideals.
 
 An ideal keeps its antichain as exponent tuples, and every operation works
 on them from start to end: sum, product and intersection form their
@@ -15,25 +15,27 @@ an ideal.  ``gens`` wraps the tuples in ``Monomial`` only when someone asks
 for them.
 
 Every batch of divisibility tests -- reduction to the antichain and
-containment ``<=`` -- goes through one structure, ``_DivisorIndex``, built
-once over a fixed list; ``contains``, a single query, scans the
-generators.  The face-prime oracle of ``simplicial`` ANDs the rows of
-``_le_masks`` itself, as its test lowers one entry of a query at a time.
-Tuple k of an index owns bit k.  For each coordinate i and each value v up
-to ``top``, a bound on every indexed entry, the index keeps the int whose
-set bits are the tuples with entry i <= v.  The AND over i of those ints at
-min(a_i, top) holds exactly the indexed divisors of a vector a: n+1
-C-level big-int ANDs per query, however many tuples are indexed.  So
-containment asks that it be nonzero at each query, and the reduction, which
-indexes its own candidates, that it be the candidate's own bit alone.
+containment ``<=`` -- builds one set of ``_le_masks`` rows over a fixed
+list and asks ``_divisors`` of each query; ``contains``, a single query,
+scans the generators.  The face-prime route of ``faceprime`` ANDs the rows
+itself, as its test lowers one entry of a query at a time.  Tuple k of the
+list owns bit k.  For each coordinate i and each value v up to ``top``, a
+bound on every listed entry and every query entry, row i holds at v the
+int whose set bits are the tuples with entry i <= v.  The AND over i of
+those ints at a_i holds exactly the listed divisors of a vector a: n+1
+C-level big-int ANDs per query, however many tuples are listed.  So
+containment asks that it be nonzero at each query, and the reduction,
+which lists its own candidates, that it be the candidate's own bit alone.
 ``_le_masks`` alone decides how a row is stored: as a list over v up to
 ``_DENSE_TOP``, past it as a ``_SparseLeMasks`` that holds one int per
 distinct entry, so the masks never grow with the size of an exponent.
 """
 
 from bisect import bisect_right
+from collections import defaultdict
+from functools import reduce
 from itertools import accumulate, chain, repeat
-from operator import add, le, or_
+from operator import add, and_, getitem, le, or_
 
 from .errors import DimensionError, ParameterError, budget_error, budget_limit, require_int
 from .monomials import Monomial, exps_text
@@ -47,16 +49,13 @@ _DENSE_TOP = 256
 class _SparseLeMasks:
     """One coordinate's row of _le_masks past _DENSE_TOP: ``row[v]`` is the
     int whose bit k is set iff entry k of the column is <= v, for any
-    v >= 0, found by bisection among the column's distinct entries."""
+    v >= 0, found by bisection among the column's distinct entries.  It is
+    built from ``exact``, which maps each distinct entry to the bits of the
+    tuples that have it."""
 
     __slots__ = ("values", "masks")
 
-    def __init__(self, column):
-        exact = {}
-        bit = 1
-        for e in column:
-            exact[e] = exact.get(e, 0) | bit
-            bit <<= 1
+    def __init__(self, exact):
         self.values = sorted(exact)
         self.masks = [0, *accumulate(map(exact.__getitem__, self.values), or_)]
 
@@ -67,44 +66,38 @@ class _SparseLeMasks:
 def _le_masks(tuples, top):
     """For each coordinate i, the row whose item v, for v in [0, top], is
     the int whose bit k is set iff tuples[k][i] <= v; every entry must be
-    at most top.  Up to _DENSE_TOP a row is the list of those ints; past it
-    a row is a _SparseLeMasks, which answers any v >= 0."""
-    if top > _DENSE_TOP:
-        return list(map(_SparseLeMasks, zip(*tuples)))
+    at most top.  One loop gathers each column's exact masks, the bits of
+    the tuples with entry i == v: up to _DENSE_TOP into a list over v,
+    whose running OR is the row, and past it into a dict over the distinct
+    entries, which a _SparseLeMasks bisects and so answers any v >= 0."""
+    dense = top <= _DENSE_TOP
     rows = []
     for column in zip(*tuples):
-        exact = [0] * (top + 1)
+        exact = [0] * (top + 1) if dense else defaultdict(int)
         bit = 1
         for e in column:
             exact[e] |= bit
             bit <<= 1
-        rows.append(list(accumulate(exact, or_)))
+        rows.append(list(accumulate(exact, or_)) if dense
+                    else _SparseLeMasks(exact))
     return rows
 
 
-class _DivisorIndex:
-    """Exact divisibility test against a fixed list of exponent tuples.
+def _divisors(rows, exps):
+    """The int whose bit k is set iff tuple k of the list that ``rows``
+    were built from (_le_masks) is <= ``exps`` entrywise: the AND over i of
+    the rows at exps[i].  Every entry of ``exps`` must be at most the rows'
+    top."""
+    return reduce(and_, map(getitem, rows, exps))
 
-    Tuple k of the list owns bit k.  With every entry at most ``top``,
-    ``masks[i][v]`` for 0 <= v <= top has bit k set iff tuple k has entry
-    i <= v, so ``masks[i][top]`` holds every bit and a query entry above
-    top is clamped to top.  An index is built once, from a non-empty list.
-    """
 
-    __slots__ = ("masks", "top")
-
-    def __init__(self, tuples, top):
-        self.top = top
-        self.masks = _le_masks(tuples, top)
-
-    def divisors(self, exps):
-        """The int whose bit k is set iff indexed tuple k is <= ``exps``
-        entrywise: the AND over i of the rows at exps[i]."""
-        top = self.top
-        acc = -1
-        for row, e in zip(self.masks, exps):
-            acc &= row[e if e < top else top]
-        return acc
+def _canonical(tuples):
+    """``tuples`` as a list in descending graded-lex order, the canonical
+    order of an ideal's generators: a descending lex sort, then a stable
+    descending sort by degree."""
+    keys = sorted(tuples, reverse=True)
+    keys.sort(key=sum, reverse=True)
+    return keys
 
 
 def _reduce_to_antichain(tuples):
@@ -117,20 +110,17 @@ def _reduce_to_antichain(tuples):
 
     Distinct tuples of equal degree never divide one another, so input of
     one degree, such as a power of an equigenerated ideal, is returned as
-    it is, deduplicated and sorted, with no index and no divisibility test.
-    Otherwise the distinct candidates are indexed once in a
-    ``_DivisorIndex`` whose top is their largest entry, tuple k as bit k,
-    and tuple k is kept iff the AND of its rows is ``1 << k``: the only
+    it is, deduplicated and sorted, with no rows and no divisibility test.
+    Otherwise the distinct candidates, in canonical order, get one set of
+    ``_le_masks`` rows up to their largest entry, tuple k as bit k, and
+    tuple k is kept iff ``_divisors`` of it is ``1 << k``: the only
     candidate that divides it is itself.  Callers check that every tuple
     has the ideal's length.
     """
-    # ascending degree, then ascending exps; reversed at the end
-    keys = sorted(set(tuples))
-    keys.sort(key=sum)
+    keys = _canonical(set(tuples))
     if keys and sum(keys[0]) != sum(keys[-1]):
-        index = _DivisorIndex(keys, max(chain.from_iterable(keys)))
-        keys = [t for k, t in enumerate(keys) if index.divisors(t) == 1 << k]
-    keys.reverse()
+        rows = _le_masks(keys, max(chain.from_iterable(keys)))
+        keys = [t for k, t in enumerate(keys) if _divisors(rows, t) == 1 << k]
     return keys
 
 
@@ -224,9 +214,9 @@ class MonomialIdeal:
             return True
         if not divisors:  # the zero ideal holds only the zero ideal
             return not queries
-        # a query entry above every divisor's is clamped to the top
-        index = _DivisorIndex(divisors, max(chain.from_iterable(divisors)))
-        return all(map(index.divisors, queries))
+        # rows up to the largest entry of both, so that every query fits
+        rows = _le_masks(divisors, max(chain.from_iterable(queries + divisors)))
+        return all(map(_divisors, repeat(rows), queries))
 
     def __eq__(self, other):
         if not isinstance(other, MonomialIdeal):

@@ -300,11 +300,11 @@ def _symbolic_representatives(spec, m):
 
 
 def _symbolic_scan(spec, m, max_candidates=None):
-    """(count, scan) of the minimal generators of the m-th symbolic power of
-    I(n,c), for the oracles: the count and refusal of symbolic_power_stream
-    (_counted_orbits), but the generators in no canonical order.
+    """A scan of the minimal generators of the m-th symbolic power of
+    I(n,c), for the oracles: counted and refused as symbolic_power_stream
+    is (_counted_orbits), but the generators in no canonical order.
 
-    ``scan`` yields each generator exactly once: first the representatives
+    The scan yields each generator exactly once: first the representatives
     (_symbolic_representatives), then the rest of each orbit in turn, as
     _permutations walks it by prefix shifts, with no _orbit_blocks and no
     sort.
@@ -314,12 +314,11 @@ def _symbolic_scan(spec, m, max_candidates=None):
     every generator.  It holds the representatives and one permutation.
     """
     require_int("m", m, 1)
-    count, reps = _counted_orbits(spec, _symbolic_representatives(spec, m),
-                                  max_candidates,
-                                  f"I^({m})({spec.n},{spec.c})")
+    _, reps = _counted_orbits(spec, _symbolic_representatives(spec, m),
+                              max_candidates, f"I^({m})({spec.n},{spec.c})")
     # each orbit's first permutation is its representative, already yielded
     rests = (islice(_permutations(rep), 1, None) for rep in reps)
-    return count, chain(reps, chain.from_iterable(rests))
+    return chain(reps, chain.from_iterable(rests))
 
 
 def _representative_product(reps, others):

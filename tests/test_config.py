@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from simplicial_ideals import ParameterError
@@ -58,6 +63,41 @@ def test_config_file_errors(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {path}:2: max_candidates=0 must be >= 1\n"
+
+
+def test_config_file_that_is_not_utf8(tmp_path, capsys, monkeypatch):
+    # a byte that is not UTF-8 is the same usage error as an unreadable
+    # file, by the flag and by SIDEAL_CONFIG alike
+    path = tmp_path / "bad.conf"
+    path.write_bytes(b"max_candidates = 5\n\xff\n")
+    message = f"cannot read config file {path}: 'utf-8' codec can't decode"
+    with pytest.raises(ParameterError) as info:
+        parse_config_file(path)
+    assert str(info.value).startswith(message)
+    argv = ["gens", "--n", "2", "--c", "2"]
+    for config in (["--config", str(path)], []):
+        if not config:
+            monkeypatch.setenv("SIDEAL_CONFIG", str(path))
+        assert main(argv + config) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+
+
+def test_config_file_reads_utf8_whatever_the_locale(tmp_path):
+    # a UTF-8 comment reads the same under an ASCII locale
+    path = tmp_path / "sideal.conf"
+    path.write_text("# Größe\nmax_candidates = 7\n", encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+               PYTHONCOERCECLOCALE="0", PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys\n"
+         "from simplicial_ideals.config import parse_config_file\n"
+         "print(parse_config_file(sys.argv[1]))", str(path)],
+        capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "7\n", "")
+    assert parse_config_file(path) == 7
 
 
 def test_env_variables(tmp_path, monkeypatch):

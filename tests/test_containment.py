@@ -420,15 +420,15 @@ def test_oracles_stop_at_the_first_failing_generator(monkeypatch):
     reads = []
 
     def counted(spec, m, max_candidates=None):
-        count, scan = _symbolic_scan(spec, m, max_candidates)
-        read = [count, 0]
+        scan = _symbolic_scan(spec, m, max_candidates)
+        read = [symbolic_power_stream(spec, m)[0], 0]
         reads.append(read)
 
         def reading():
             for exps in scan:
                 read[1] += 1
                 yield exps
-        return count, reading()
+        return reading()
 
     monkeypatch.setattr("simplicial_ideals.containment._symbolic_scan",
                         counted)

@@ -14,7 +14,7 @@ from simplicial_ideals import (
     intersect_all,
 )
 from simplicial_ideals import ideals
-from simplicial_ideals.ideals import _DENSE_TOP, _DivisorIndex, _SparseLeMasks
+from simplicial_ideals.ideals import _DENSE_TOP, _SparseLeMasks, _le_masks
 
 
 def ideal_of(n, *exps):
@@ -227,14 +227,14 @@ def test_containment_against_the_zero_ideal():
 
 def test_le_of_equal_ideals_builds_no_index(monkeypatch):
     # equal canonical generator tuples answer at once, so S <= S on a
-    # large S builds no divisor index over S
+    # large S builds no divisor rows over S
     def refuse(*args):
-        raise AssertionError("built a _DivisorIndex")
+        raise AssertionError("built _le_masks rows")
 
     I = ideal_of(2, (2, 0, 0), (1, 1, 1), (0, 3, 2))
     same = MonomialIdeal(2, reversed(I.gens))
     assert same._exps == I._exps and same._exps is not I._exps
-    monkeypatch.setattr(ideals, "_DivisorIndex", refuse)
+    monkeypatch.setattr(ideals, "_le_masks", refuse)
     assert I <= I and I <= same and same <= I and ZERO <= ZERO
     monkeypatch.undo()
     for J, K in INTERSECTION_CASES.values():
@@ -246,16 +246,22 @@ def test_le_of_equal_ideals_builds_no_index(monkeypatch):
 
 @given(st.integers(1, 3).flatmap(lambda n: st.lists(
     st.lists(st.integers(0, 10 ** 6), min_size=n + 1, max_size=n + 1).map(
-        tuple), min_size=2, max_size=12)))
-def test_sparse_rows_match_a_bit_count(tuples):
-    top = max(_DENSE_TOP + 1, *chain.from_iterable(tuples))
-    index = _DivisorIndex(tuples, top)
-    for i, row in enumerate(index.masks):
-        assert isinstance(row, _SparseLeMasks)
-        probes = {0, top + 1}
+        tuple), min_size=2, max_size=12)),
+       st.sampled_from([8, _DENSE_TOP, 10 ** 6]))
+def test_sparse_rows_match_a_bit_count(tuples, cap):
+    # one loop fills both kinds of row: the entries are cut to at most
+    # ``cap``, so the tops are 8 and _DENSE_TOP, whose rows are lists over
+    # [0, top], and past _DENSE_TOP, whose rows answer any v >= 0
+    tuples = [tuple(e % (cap + 1) for e in t) for t in tuples]
+    top = max(min(cap, _DENSE_TOP + 1), *chain.from_iterable(tuples))
+    dense = top <= _DENSE_TOP
+    last = top if dense else top + 1
+    for i, row in enumerate(_le_masks(tuples, top)):
+        assert isinstance(row, list if dense else _SparseLeMasks)
+        probes = {0, last}
         for t in tuples:
             probes.update((t[i] - 1, t[i], t[i] + 1))
-        for v in probes - {-1}:
+        for v in probes - {-1, last + 1}:
             expected = sum(1 << k for k, t in enumerate(tuples) if t[i] <= v)
             assert row[v] == expected, (i, v)
 
@@ -270,11 +276,11 @@ def test_reduction_through_an_emptied_bucket():
 
 def test_reduction_of_one_degree_builds_no_index(monkeypatch):
     # distinct tuples of one degree form an antichain: deduplicated and
-    # sorted, with no divisor index
+    # sorted, with no divisor rows
     def refuse(*args):
-        raise AssertionError("built a _DivisorIndex")
+        raise AssertionError("built _le_masks rows")
 
-    monkeypatch.setattr(ideals, "_DivisorIndex", refuse)
+    monkeypatch.setattr(ideals, "_le_masks", refuse)
     tuples = [(0, 2, 1), (1, 1, 1), (3, 0, 0), (0, 2, 1), (1, 2, 0)]
     assert ideals._reduce_to_antichain(tuples) == [
         (3, 0, 0), (1, 2, 0), (1, 1, 1), (0, 2, 1)]
