@@ -70,16 +70,15 @@ def _cmd_gens(args, budget):
         out.writelines(exps_lines(stream, args.n + 1))
         return EXIT_OK
     # the bytes of _dumps(payload) with the generator list written row by
-    # row: every listing has at least one generator, so the list is never []
+    # row, each row one %-format of a template built once for the n + 1
+    # entries; every listing has at least one generator, so the list is
+    # never [] and the first row goes out with the header
     payload = {"n": args.n, "c": args.c, "kind": kind, "exponent": exponent,
                "count": count, "generators": []}
     head, tail = _dumps(payload).rsplit("[]", 1)
-    out.write(head + "[")
-    sep = "\n"
-    for exps in stream:
-        row = ",\n      ".join(map(str, exps))
-        out.write(f"{sep}    [\n      {row}\n    ]")
-        sep = ",\n"
+    row = "    [\n      " + ",\n      ".join(["%d"] * (args.n + 1)) + "\n    ]"
+    out.write(head + "[\n" + row % next(stream))
+    out.writelines(map((",\n" + row).__mod__, stream))
     out.write("\n  ]" + tail)
     return EXIT_OK
 

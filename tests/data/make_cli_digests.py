@@ -57,6 +57,10 @@ def grid():
     yield "gens --n 12 --c 7"
     yield from ("gens --n 8 --c 6 --symbolic 4", "gens --n 8 --c 5 --power 2",
                 "gens --n 9 --c 6 --symbolic 3")
+    # exponents of two digits: 19 and 210 generators with entries up to 12
+    # and 10, and a single generator, written with the listing's header
+    yield from ("gens --n 2 --c 2 --symbolic 12", "gens --n 4 --c 3 --symbolic 10",
+                "gens --n 3 --c 1 --power 11")
     for monomial in ("1", "x0^2*x1", "x0*x1*x2*x3", "x0^3*x1^2*x2^2*x3^5"):
         for kind in ("--power 1", "--power 2", "--symbolic 1",
                      "--symbolic 2", "--symbolic 4"):
