@@ -339,9 +339,10 @@ def main(argv=None):
     except BudgetExceededError as exc:
         print(f"resource budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except MemoryError:
-        # an allocation the budget let through failed: still a resource
-        # running out, not a failed claim
+    except (MemoryError, OverflowError):
+        # an allocation the budget let through failed, or an n past the
+        # platform's index size asked for one: still a resource running
+        # out, not a failed claim
         print("out of memory", file=sys.stderr)
         return EXIT_BUDGET
 

@@ -38,7 +38,7 @@ from itertools import accumulate, chain, repeat
 from operator import add, and_, getitem, le, or_
 
 from .errors import DimensionError, ParameterError, budget_error, budget_limit, require_int
-from .monomials import Monomial, exps_text
+from .monomials import Monomial, exps_lines, exps_text
 
 # The largest top a row keeps one mask per value for: past it, a value axis
 # of top+1 masks per coordinate would cost more than bisecting the column's
@@ -187,16 +187,14 @@ class MonomialIdeal:
 
     def __pow__(self, r):
         require_int("r", r, 1)
-        # square-and-multiply; canonicalization inside __mul__ keeps the
-        # intermediate generator sets reduced
-        result = None
-        base = self
-        while r:
-            if r & 1:
-                result = base if result is None else result * base
-            r >>= 1
-            if r:
-                base = base * base
+        # left to right over r's bits after the leading one: square, then
+        # at a 1 bit multiply by self, on the left, whose generators __mul__
+        # loops over, as self usually has fewer than the running power
+        result = self
+        for bit in bin(r)[3:]:
+            result = result * result
+            if bit == "1":
+                result = self * result
         return result
 
     def intersect(self, other):
@@ -229,8 +227,9 @@ class MonomialIdeal:
     # serialization -- both forms are byte-stable because gens are canonical
 
     def to_text(self):
-        """One generator per line in canonical text form."""
-        return "".join(f"{exps_text(g)}\n" for g in self._exps)
+        """One generator per line in canonical text form, as exps_lines
+        writes the streamed ``sideal gens`` listing."""
+        return "".join(exps_lines(self._exps, self.n + 1))
 
     def to_lists(self):
         """Generators as a list of exponent lists (JSON-ready)."""

@@ -7,8 +7,10 @@ n+1 non-negative ints (index i <-> variable x_i, so the ambient n is
 ParameterError rather than being converted.  Instances are immutable and
 hashable.
 
-The total order used for all deterministic listings is graded lexicographic:
-compare by total degree first, then by the exponent tuple.
+``Monomial.__lt__`` is the graded lexicographic order: compare by total
+degree first, then by the exponent tuple.  Every deterministic listing is
+in the reverse of that order, descending graded-lex, which
+``ideals._canonical`` writes.
 """
 
 import re
@@ -28,7 +30,8 @@ def _factor_text(i, e):
 def exps_text(exps):
     """The canonical text of the monomial with exponent tuple ``exps``:
     ``x<i>^<e>`` factors joined by ``*``, ``^1`` dropped, ``1`` for the unit.
-    ``Monomial.__str__`` and ``MonomialIdeal.to_text`` use it.
+    ``Monomial.__str__``, ``MonomialIdeal.__repr__`` and, for a listing of
+    one row, ``exps_lines`` use it.
     """
     parts = [_factor_text(i, e) for i, e in enumerate(exps) if e]
     return "*".join(parts) or "1"
@@ -56,7 +59,7 @@ def exps_lines(stream, length):
     the table never holds an exponent that no row has.  A listing of one
     row, such as a power of I(n,1), is joined by exps_text with no table,
     whose ``length`` columns would cost more than the row.  The streamed
-    ``sideal gens`` listing writes these lines.
+    ``sideal gens`` listing and ``MonomialIdeal.to_text`` write these lines.
     """
     rows = iter(stream)
     first = next(rows, None)

@@ -42,7 +42,7 @@ representatives.  The claims test or multiply representatives directly
 """
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, groupby, islice
 from operator import add
 
 from .errors import (DimensionError, ParameterError, _orbit_size, budget_error, budget_limit,
@@ -208,21 +208,23 @@ def _orbits(spec, reps, max_candidates, name):
     """(count, stream) for the ideal ``name``, counted by _counted_orbits.
 
     ``stream`` yields the generators' exponent tuples in descending
-    graded-lex order, the degrees in descending order and, within one, the
-    blocks of _orbit_blocks.  It holds the representatives and at most
-    _BLOCK generators.
+    graded-lex order: the blocks of _orbit_blocks, one degree after
+    another.  It holds the representatives and at most _BLOCK generators.
     """
     count, reps = _counted_orbits(spec, reps, max_candidates, name)
-    by_degree = {}
-    for rep in reps:
-        by_degree.setdefault(sum(rep), []).append(rep)
-    groups = map(by_degree.__getitem__, sorted(by_degree, reverse=True))
-    return count, chain.from_iterable(_orbit_blocks(groups))
+    return count, chain.from_iterable(_orbit_blocks(reps))
 
 
-def _orbit_blocks(groups):
-    """For each list of representatives of one degree, their orbits as
-    consecutive blocks in descending lex order.
+def _orbit_blocks(reps):
+    """The orbits of the representatives ``reps``, as consecutive blocks in
+    descending graded-lex order.
+
+    ``reps`` must come in non-increasing degree, as both families list
+    them, and any new family must too: groupby takes each run of one
+    degree as it comes.  The symbolic representatives (t1,)*(n-c+1) + t
+    have t in descending lex order, so t1, and with it the degree
+    (n-c+1)*t1 + m, never rises; the ordinary ones all have degree
+    (n-c+2)*r.
 
     Within one degree the vectors with a larger first entry come first, and
     those with first entry v are v followed by the orbits of the
@@ -232,8 +234,8 @@ def _orbit_blocks(groups):
     prefix, which is put back on each as it is yielded; larger ones, a lone
     orbit among them, are split on their next entry, largest first.  Orbits
     are disjoint, so each generator comes once."""
-    for group in groups:
-        stack = [((), group)]
+    for _, group in groupby(reps, sum):
+        stack = [((), list(group))]
         while stack:
             prefix, rests = stack.pop()
             if sum(_orbit_size(map(rest.count, set(rest)), _BLOCK)

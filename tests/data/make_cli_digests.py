@@ -29,6 +29,14 @@ REFUSALS = [
     "gens --n 8 --c 4 --symbolic 6 --max-candidates 1000",
 ]
 
+# an n of 2**63 - 1 or more asks for a tuple or list past the platform's
+# index size, which exits 3 as out of memory
+OVERFLOWS = [
+    "gens --n 9223372036854775807 --c 1",
+    "member --n 9223372036854775807 --c 6 --power 1 x0",
+    "containment --n 9223372036854775808 --c 1 --m 100 --r 2 --oracle",
+]
+
 # usage errors that the commands themselves report (argparse's own
 # messages vary with the Python version and stay out)
 ERRORS = [
@@ -84,6 +92,7 @@ def grid():
         yield f"resurgence --n {n} --c {c}"
         yield f"resurgence --n {n} --c {c} --witnesses 4 --box 6 5"
     yield from REFUSALS
+    yield from OVERFLOWS
     yield from ERRORS
     yield "verify all"
 

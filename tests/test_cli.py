@@ -571,11 +571,13 @@ def test_budget_errors_exit_three(capsys):
     assert err.endswith("more than max_candidates=100\n")
 
 
-def test_memory_error_exits_three(capsys, monkeypatch):
+@pytest.mark.parametrize("error", [MemoryError, OverflowError])
+def test_memory_error_exits_three(capsys, monkeypatch, error):
     # an allocation the budget let through can still fail, as I(10**9, 1)'s
-    # one generator of 10**9 + 1 exponents does under a memory limit
+    # one generator of 10**9 + 1 exponents does under a memory limit, and
+    # I(2**63 - 1, 1)'s one generator is past the platform's index size
     def out_of_memory(args, budget):
-        raise MemoryError
+        raise error
 
     monkeypatch.setattr("simplicial_ideals.cli._cmd_gens", out_of_memory)
     assert run_cli(capsys, "gens", "--n", "2", "--c", "2") == (
@@ -644,6 +646,70 @@ def test_listings_and_oracles_stay_within_budget(n, data):
     else:
         assert out.startswith(f"rho(I({n},{c})) = ")
         assert len(out.splitlines()) == 3 + int(count) - (count == "0")
+
+
+# the integers a fuzzed command line draws: out of range, small, and past
+# the platform's index size; 10**9 and 10**12 stay out, as in process their
+# one generator would be allocated (CI's "No hang" step runs them)
+FUZZ_INTS = st.sampled_from([-1, *range(9), 12, 30, 100, 10**3, 10**6,
+                             2**63 - 1, 2**63])
+
+
+@st.composite
+def command_lines(draw):
+    """A command line of gens, member, containment, containment-sym or
+    resurgence, its integers drawn from FUZZ_INTS, with --max-candidates
+    1, 10 or 1000 where the command takes it and sometimes --format json."""
+    def number():
+        return str(draw(FUZZ_INTS))
+
+    command = draw(st.sampled_from(["gens", "member", "containment",
+                                    "containment-sym", "resurgence"]))
+    argv = [command, "--n", number(), "--c", number()]
+    if command == "gens":
+        kind = draw(st.sampled_from([None, "--power", "--symbolic"]))
+        argv += [kind, number()] if kind else []
+    elif command == "member":
+        factors = draw(st.lists(st.tuples(
+            FUZZ_INTS.filter((0).__le__),
+            st.sampled_from([1, 2, 3, 12, 10**6])), max_size=4))
+        monomial = "*".join(f"x{i}^{e}" for i, e in factors) or "1"
+        argv += [draw(st.sampled_from(["--power", "--symbolic"])), number(),
+                 monomial]
+    elif command == "containment":
+        argv += ["--m", number(), "--r", number()]
+    elif command == "containment-sym":
+        argv += ["--d", number(), "--m", number(), "--s", number()]
+    else:
+        if draw(st.booleans()):
+            argv += ["--witnesses", number()]
+        if draw(st.booleans()):
+            argv += ["--box", number(), number()]
+    if command.startswith("containment") and draw(st.booleans()):
+        argv.append("--oracle")
+    if command != "member":
+        argv += ["--max-candidates", str(draw(st.sampled_from([1, 10, 1000])))]
+    if draw(st.booleans()):
+        argv += ["--format", "json"]
+    return argv
+
+
+@given(command_lines())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_fuzzed_command_lines_exit_zero_two_or_three(argv):
+    """Any command line a user can type ends, within CALL_SECONDS, in an
+    answer, a usage error or a resource refusal, and writes nothing to
+    stdout unless it answers."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+    assert time.perf_counter() - start < CALL_SECONDS, argv
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert code == 0 or out.getvalue() == "", argv
 
 
 # I(2,2) has 3 generators: a budget of 2 refuses the listing, 3 lists it
